@@ -57,9 +57,6 @@ func parseElastic(s string) (*slurm.ElasticConfig, error) {
 			return nil, fmt.Errorf("bad -elastic %q: want min:max", s)
 		}
 	}
-	if el.Min < 0 || (el.Max != 0 && el.Max < el.Min) {
-		return nil, fmt.Errorf("bad -elastic %q: envelope is inverted", s)
-	}
 	return &el, nil
 }
 
@@ -150,16 +147,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dmrsim: -sleep and -ladder are mutually exclusive (the ladder fixes its own rung timings)")
 		os.Exit(2)
 	}
-	if *withEnergy || *sleepAfter > 0 || *energyPolicy || *powerCap > 0 || *thermal || *ladder || *elastic != "" || *migrate {
-		cfg.Energy = true
-		cfg.IdleSleep = sim.Seconds(*sleepAfter)
-		cfg.EnergyPolicy = *energyPolicy
-		cfg.PowerCapW = *powerCap
-		cfg.Thermal = *thermal
-		if *ladder {
-			cfg.SleepLadder = slurm.DefaultSleepLadder()
-		}
+	cfg.Energy = *withEnergy
+	if *sleepAfter > 0 {
+		cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: sim.Seconds(*sleepAfter)}}
 	}
+	if *ladder {
+		cfg.SleepLadder = slurm.DefaultSleepLadder()
+	}
+	if *energyPolicy {
+		cfg.Policy = core.EnergyAware
+	}
+	cfg.PowerCapW = *powerCap
+	cfg.Thermal = *thermal
 	if *elastic != "" {
 		el, err := parseElastic(*elastic)
 		if err != nil {
@@ -175,7 +174,6 @@ func main() {
 			BootFailP: *bootFailP,
 			Seed:      *seed,
 		}
-		cfg.Energy = true
 	}
 	cfg.CkptEvery = *ckpt
 	if *migrate {
@@ -216,6 +214,10 @@ func main() {
 	cfg.ClassAware = *classAware
 	if *traceFile != "" || *metricsFile != "" {
 		cfg.Telemetry = telemetry.New()
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dmrsim:", err)
+		os.Exit(2)
 	}
 
 	specs := workload.Generate(params)
@@ -262,7 +264,7 @@ func main() {
 	fmt.Printf("  avg completion time:  %10.0f s\n", res.AvgCompletion.Seconds())
 	fmt.Printf("  resource utilization: %10.2f %%\n", res.UtilRate)
 	fmt.Printf("  reconfigurations:     %10d\n", res.Resizes)
-	if cfg.Energy {
+	if sys.Energy != nil {
 		fmt.Printf("  cluster energy:       %10.0f kJ\n", res.EnergyJ/1e3)
 		fmt.Printf("  avg cluster draw:     %10.0f W\n", res.AvgPowerW)
 		fmt.Printf("  node wake-ups:        %10d\n", sys.Energy.Wakes())

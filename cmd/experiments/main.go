@@ -74,6 +74,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/energy"
 	"repro/internal/experiments"
@@ -123,8 +124,11 @@ func main() {
 		capJobs, capLevels = 20, []float64{0, 12000}
 	}
 
+	names, ran := []string{"all"}, false // for rejecting an unknown -exp
 	run := func(name string, fn func()) {
+		names = append(names, name)
 		if *exp == "all" || *exp == name {
+			ran = true
 			fn()
 		}
 	}
@@ -156,7 +160,9 @@ func main() {
 		fmt.Print(experiments.FormatFig9(experiments.Fig9(fig9Sizes, experiments.Fig9Periods, *seed)))
 		fmt.Println()
 	})
+	names = append(names, "fig10", "fig11", "table2")
 	if *exp == "all" || *exp == "fig10" || *exp == "fig11" || *exp == "table2" {
+		ran = true
 		cs := experiments.Realistic(realSizes, *seed)
 		fmt.Print(experiments.FormatFig10(cs))
 		fmt.Println()
@@ -246,6 +252,10 @@ func main() {
 
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "unexpected arguments:", flag.Args())
+		os.Exit(2)
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q (valid: %s)\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/slurm"
 	"repro/internal/workload"
 )
 
@@ -35,9 +36,10 @@ func main() {
 	specs := workload.Generate(workload.Realistic(*jobs, *seed))
 	runCfg := func(aware bool, flexible bool) *metrics.WorkloadResult {
 		cfg := core.DefaultConfig()
-		cfg.Energy = true
-		cfg.IdleSleep = 120 * sim.Second
-		cfg.EnergyPolicy = aware
+		cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: 120 * sim.Second}}
+		if aware {
+			cfg.Policy = core.EnergyAware
+		}
 		return core.RunWorkload(cfg, workload.SetFlexible(specs, flexible))
 	}
 	rigid := runCfg(false, false)

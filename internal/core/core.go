@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/apps"
@@ -28,25 +29,15 @@ type Config struct {
 	Nodes int
 	// Platform overrides the full hardware description when non-nil.
 	Platform *platform.Config
-	// Policy enables the DMR reconfiguration policy. Without it, even
-	// flexible jobs receive "no action" on every check.
-	Policy bool
+	// Policy selects the DMR reconfiguration plug-in. Under NoPolicy
+	// even flexible jobs run rigid.
+	Policy Policy
 	// Async runs flexible jobs with dmr_icheck_status semantics (§VIII-C).
 	Async bool
 	// SchedPeriod, when >= 0, overrides every application's checking
 	// inhibitor period; SchedPeriodDefault (-1) keeps each class's
 	// Table I default.
 	SchedPeriod sim.Time
-	// StepsPerCheck, when > 0, overrides the reconfiguring-point batching.
-	StepsPerCheck int
-	// RealCompute runs real numeric kernels inside jobs (examples/tests;
-	// workload experiments rely on the time models only).
-	RealCompute bool
-	// ProblemN overrides the in-memory stand-in state size.
-	ProblemN int
-	// TimeLimitFactor scales job runtime estimates into time limits for
-	// backfill reservations (default 4).
-	TimeLimitFactor float64
 	// MoldableSubmissions enables the paper's future-work extension
 	// (§X): jobs are submitted with a node range [min, requested] and
 	// the scheduler picks the start size.
@@ -54,26 +45,18 @@ type Config struct {
 	// FactorOverride, when > 0, replaces every application's resizing
 	// factor (the paper fixes 2; the ablation sweeps it).
 	FactorOverride int
-	// PreferredOnlyPolicy ablates Algorithm 1 to its preferred-size
-	// branch, disabling wide optimization.
-	PreferredOnlyPolicy bool
 	// CRTransfer moves reconfiguration data through the parallel
 	// filesystem (checkpoint/restart style) instead of the in-memory
 	// offload path — the workload-scale version of Figure 1's baseline.
 	CRTransfer bool
 	// Energy attaches the power/energy accounting subsystem: per-node
 	// power-state metering, per-job attributed energy in the accounting
-	// records, and the EnergyJ/AvgPowerW workload measures.
+	// records, and the EnergyJ/AvgPowerW workload measures. Everything
+	// documented as implying Energy attaches it too.
 	Energy bool
-	// IdleSleep is the idle timeout after which free nodes drop to a
-	// sleep state (requires Energy; 0 keeps idle nodes powered on).
-	IdleSleep sim.Time
-	// SleepState selects the S-state idle nodes drop into (0 is the
-	// shallow suspend, deeper states draw less but wake slower).
-	SleepState int
 	// SleepLadder steps idle nodes through progressively deeper S-states
-	// the longer they stay idle, replacing the single IdleSleep/
-	// SleepState drop when non-empty (implies Energy). Allocating a
+	// the longer they stay idle (implies Energy; empty keeps idle nodes
+	// powered on, one rung is a single idle-timeout drop). Allocating a
 	// laddered node pays the wake latency of the rung it occupies.
 	SleepLadder []slurm.SleepRung
 	// Thermal attaches the default per-class thermal envelope to every
@@ -83,10 +66,6 @@ type Config struct {
 	// restore threshold clears it. Platforms supplying their own
 	// Profile.Thermal envelopes are honored without this switch.
 	Thermal bool
-	// EnergyPolicy swaps Algorithm 1 for its energy-aware variant:
-	// shrink when the queue is empty so freed nodes sleep, expand only
-	// under dense arrivals.
-	EnergyPolicy bool
 	// PowerCapW bounds the instantaneous cluster draw: job starts are
 	// admission-controlled and running jobs are DVFS-throttled to stay
 	// under the cap (implies Energy; 0 disables capping).
@@ -108,11 +87,12 @@ type Config struct {
 	Elastic *slurm.ElasticConfig
 	// Faults attaches the deterministic fault injector (implies Energy):
 	// seeded node crashes from an MTBF/Weibull model with repair delays,
-	// and boot failures for elastic provisioning. A crashed node's rigid
-	// job is requeued (restarting from scratch, or from its last periodic
-	// checkpoint when CkptEvery is set); a malleable job shrinks to its
-	// survivors and continues. Nil — or a config with the model disabled —
-	// leaves every RNG stream and golden byte-identical.
+	// and boot failures for elastic provisioning (BootFailP requires
+	// Elastic). A crashed node's rigid job is requeued (restarting from
+	// scratch, or from its last periodic checkpoint when CkptEvery is
+	// set); a malleable job shrinks to its survivors and continues. Nil —
+	// or a config with the model disabled — leaves every RNG stream and
+	// golden byte-identical.
 	Faults *faults.Config
 	// CkptEvery writes periodic application checkpoints through the PFS
 	// every this many iterations (0 disables), bounding the work a
@@ -124,7 +104,8 @@ type Config struct {
 	// checkpoint/restart cycle, to evacuate throttled nodes, clean up
 	// class-straddling placements, or consolidate sparse load so vacated
 	// racks power down. Requires a Policy (the selectdmr plug-ins
-	// implement the picker half). Nil leaves every golden byte-identical.
+	// implement the picker half) and a fleet of at least two machine
+	// classes. Nil leaves every golden byte-identical.
 	Migration *slurm.MigrationConfig
 	// Telemetry, when non-nil, wires the deterministic telemetry sink
 	// through the controller and accountant: sim-time trace spans,
@@ -137,14 +118,33 @@ type Config struct {
 	EventLogCap int
 }
 
+// Policy names the selection plug-in that decides reconfigurations.
+type Policy int
+
+const (
+	NoPolicy   Policy = iota // every check answers "no action"
+	Algorithm1               // the paper's policy
+	// PreferredOnly ablates Algorithm 1 to its preferred-size branch,
+	// disabling wide optimization.
+	PreferredOnly
+	// EnergyAware is Algorithm 1's energy-biased variant (implies
+	// Energy): shrink when the queue is empty so freed nodes sleep,
+	// expand only under dense arrivals.
+	EnergyAware
+)
+
 // SchedPeriodDefault is the SchedPeriod sentinel that keeps each
 // application class's Table I checking-inhibitor period. It is not a
 // duration, which is why it has a name instead of a raw -1.
 const SchedPeriodDefault sim.Time = -1
 
+// timeLimitFactor scales job runtime estimates into the time limits
+// backfill reservations are priced by.
+const timeLimitFactor = 4
+
 // DefaultConfig returns the standard experiment setup.
 func DefaultConfig() Config {
-	return Config{Policy: true, SchedPeriod: SchedPeriodDefault, TimeLimitFactor: 4}
+	return Config{Policy: Algorithm1, SchedPeriod: SchedPeriodDefault}
 }
 
 // System is a wired cluster ready to accept workloads.
@@ -153,17 +153,15 @@ type System struct {
 	Cluster  *platform.Cluster
 	Ctl      *slurm.Controller
 	Recorder *metrics.Recorder
-	// Energy is the power accountant (nil unless Config.Energy).
+	// Energy is the power accountant (nil unless Config.Energy or a
+	// feature implying it is set).
 	Energy *energy.Accountant
 
 	jobs []*slurm.Job
 }
 
-// NewSystem builds a fresh simulated system.
-func NewSystem(cfg Config) *System {
-	if cfg.TimeLimitFactor <= 0 {
-		cfg.TimeLimitFactor = 4
-	}
+// platformConfig resolves the hardware description cfg builds.
+func (cfg Config) platformConfig() platform.Config {
 	pc := platform.Marenostrum3()
 	if cfg.Platform != nil {
 		pc = *cfg.Platform
@@ -171,6 +169,96 @@ func NewSystem(cfg Config) *System {
 	if cfg.Nodes > 0 {
 		pc.Nodes = cfg.Nodes
 	}
+	return pc
+}
+
+// needsEnergy is the one place that decides whether the system runs on
+// the power accountant: every feature below meters or prices watts.
+func (cfg Config) needsEnergy() bool {
+	return cfg.Energy || cfg.Policy == EnergyAware || cfg.PowerCapW > 0 || cfg.Thermal ||
+		len(cfg.SleepLadder) > 0 || cfg.Elastic != nil || cfg.Migration != nil ||
+		(cfg.Faults != nil && cfg.Faults.Enabled())
+}
+
+// plugin builds the selection plug-in for cfg's policy. Every plug-in
+// prices expansions class-aware exactly when ClassAware is set.
+func (cfg Config) plugin() slurm.SelectPlugin {
+	base := selectdmr.Policy{ClassAware: cfg.ClassAware}
+	switch cfg.Policy {
+	case NoPolicy:
+		return nil
+	case PreferredOnly:
+		base.DisableWide = true
+	case EnergyAware:
+		return selectdmr.NewEnergyAware(base)
+	}
+	return &base
+}
+
+// slurmConfig derives the controller config, short of the accountant
+// and fault injector NewSystem attaches.
+func (cfg Config) slurmConfig() slurm.Config {
+	scfg := slurm.DefaultConfig()
+	scfg.Policy = cfg.plugin()
+	scfg.ClassAware = cfg.ClassAware
+	scfg.Telemetry = cfg.Telemetry
+	scfg.EventLogCap = cfg.EventLogCap
+	scfg.SleepLadder = cfg.SleepLadder
+	scfg.PowerCapW = cfg.PowerCapW
+	scfg.Elastic = cfg.Elastic
+	scfg.Migration = cfg.Migration
+	return scfg
+}
+
+// accountantStandIn stands in for the accountant NewSystem attaches: the
+// controller's rules only ask whether one is present.
+var accountantStandIn energy.Accountant
+
+// Validate reports the first rule cfg breaks. It builds no cluster, so
+// the command-line tools call it on user input; NewSystem panics with
+// the same error.
+func (cfg Config) Validate() error {
+	pc := cfg.platformConfig()
+	if err := pc.Validate(); err != nil {
+		return err
+	}
+	if cfg.CkptEvery < 0 {
+		return fmt.Errorf("core: CkptEvery %d is negative (0 disables checkpoints)", cfg.CkptEvery)
+	}
+	if f := cfg.Faults; f != nil {
+		if err := f.Validate(); err != nil {
+			return err
+		}
+		if f.BootFailP > 0 && cfg.Elastic == nil {
+			return errors.New("core: Faults.BootFailP requires Elastic (only elastic provisioning boots nodes)")
+		}
+	}
+	if cfg.Migration != nil {
+		mixed := false // some node falls outside the first populated class
+		for _, mc := range pc.Classes {
+			if mc.Count > 0 {
+				mixed = mc.Count < pc.Nodes
+				break
+			}
+		}
+		if !mixed {
+			return errors.New("core: Migration needs a fleet of at least two machine classes")
+		}
+	}
+	scfg := cfg.slurmConfig()
+	if cfg.needsEnergy() {
+		scfg.Energy = &accountantStandIn
+	}
+	return scfg.Validate(pc.Nodes)
+}
+
+// NewSystem builds a fresh simulated system. It panics if cfg does not
+// validate.
+func NewSystem(cfg Config) *System {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	pc := cfg.platformConfig()
 	if cfg.Thermal {
 		// Stamp the default envelope onto every class that lacks one,
 		// scaled to its P0 draw (platform-supplied envelopes win). The
@@ -195,31 +283,10 @@ func NewSystem(cfg Config) *System {
 		}
 	}
 	cl := platform.New(pc)
-	scfg := slurm.DefaultConfig()
-	scfg.ClassAware = cfg.ClassAware
-	scfg.Telemetry = cfg.Telemetry
-	scfg.EventLogCap = cfg.EventLogCap
-	if cfg.Policy {
-		switch {
-		case cfg.EnergyPolicy && cfg.ClassAware:
-			scfg.Policy = selectdmr.NewEnergyAwareWith(selectdmr.Policy{ClassAware: true})
-		case cfg.EnergyPolicy:
-			scfg.Policy = selectdmr.NewEnergyAware()
-		case cfg.PreferredOnlyPolicy:
-			scfg.Policy = selectdmr.NewPreferredOnly()
-		case cfg.ClassAware:
-			scfg.Policy = selectdmr.NewClassAware()
-		default:
-			scfg.Policy = selectdmr.New()
-		}
-	}
+	scfg := cfg.slurmConfig()
 	var acct *energy.Accountant
 	rec := &metrics.Recorder{}
-	faultsOn := cfg.Faults != nil && cfg.Faults.Enabled()
-	if cfg.PowerCapW > 0 || cfg.Thermal || len(cfg.SleepLadder) > 0 || cfg.Elastic != nil || faultsOn || cfg.Migration != nil {
-		cfg.Energy = true // all six run on the accountant's meters
-	}
-	if cfg.Energy {
+	if cfg.Energy = cfg.needsEnergy(); cfg.Energy {
 		acct = energy.New(cl.K, cl.PowerProfiles())
 		rec.AttachPower(acct) // before NewController: it may arm sleeps
 		if acct.ThermalEnabled() {
@@ -232,15 +299,9 @@ func NewSystem(cfg Config) *System {
 			acct.SubscribePowerSamples(func(_ sim.Time, w float64) { power.Set(w) })
 		}
 		scfg.Energy = acct
-		scfg.IdleSleep = cfg.IdleSleep
-		scfg.SleepState = cfg.SleepState
-		scfg.SleepLadder = cfg.SleepLadder
-		scfg.PowerCapW = cfg.PowerCapW
-		scfg.Elastic = cfg.Elastic
-		if faultsOn {
+		if cfg.Faults != nil && cfg.Faults.Enabled() {
 			scfg.Faults = faults.New(*cfg.Faults)
 		}
-		scfg.Migration = cfg.Migration
 	}
 	ctl := slurm.NewController(cl, scfg)
 	rec.Attach(ctl)
@@ -269,21 +330,14 @@ func (s *System) AppConfig(spec workload.Spec) apps.Config {
 	if s.Cfg.SchedPeriod >= 0 {
 		cfg.SchedPeriod = s.Cfg.SchedPeriod
 	}
-	if s.Cfg.StepsPerCheck > 0 {
-		cfg.StepsPerCheck = s.Cfg.StepsPerCheck
-	}
-	if s.Cfg.ProblemN > 0 {
-		cfg.ProblemN = s.Cfg.ProblemN
-	}
 	if cfg.MaxProcs > s.Ctl.TotalNodes() {
 		cfg.MaxProcs = s.Ctl.TotalNodes()
 	}
 	if s.Cfg.FactorOverride > 0 {
 		cfg.Factor = s.Cfg.FactorOverride
 	}
-	cfg.RealCompute = s.Cfg.RealCompute
 	cfg.UseAsync = s.Cfg.Async
-	cfg.Malleable = spec.Flexible && s.Cfg.Policy
+	cfg.Malleable = spec.Flexible && s.Cfg.Policy != NoPolicy
 	cfg.CRTransfer = s.Cfg.CRTransfer
 	cfg.CkptEvery = s.Cfg.CkptEvery
 	cfg.MigrationAware = s.Cfg.Migration != nil
@@ -298,7 +352,7 @@ func (s *System) Submit(spec workload.Spec) *slurm.Job {
 	j := &slurm.Job{
 		Name:      fmt.Sprintf("%s-%03d", spec.Class, spec.Index),
 		ReqNodes:  spec.Nodes,
-		TimeLimit: sim.Time(float64(spec.Runtime) * s.Cfg.TimeLimitFactor),
+		TimeLimit: spec.Runtime * timeLimitFactor,
 		Flexible:  spec.Flexible,
 		ReqClass:  spec.ReqClass,
 		PrefClass: spec.PrefClass,
@@ -326,7 +380,7 @@ func (s *System) Submit(spec workload.Spec) *slurm.Job {
 		j.MinNodes = cfg.MinProcs
 		j.MaxNodes = spec.Nodes
 	}
-	if s.Cfg.ClassAware && j.ReqClass != "" && spec.Flexible && s.Cfg.Policy {
+	if s.Cfg.ClassAware && j.ReqClass != "" && spec.Flexible && s.Cfg.Policy != NoPolicy {
 		// A class-pinned submission at full size would wait until most
 		// of its class is simultaneously free — on a small class that
 		// serializes the whole partition. Under class-aware scheduling a

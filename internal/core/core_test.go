@@ -110,7 +110,8 @@ func TestMoldableSubmissionExtension(t *testing.T) {
 
 func TestConfigCombinations(t *testing.T) {
 	// Every combination of the orthogonal switches must complete a
-	// small workload without deadlock.
+	// small workload without deadlock (policy values are covered by
+	// TestPolicyClassAwareMatrix).
 	base := workload.Generate(workload.Preliminary(8, 1, 5))
 	for _, tc := range []struct {
 		name string
@@ -122,9 +123,7 @@ func TestConfigCombinations(t *testing.T) {
 		{"async+moldable", func(c *Config) { c.Async = true; c.MoldableSubmissions = true }},
 		{"cr+moldable", func(c *Config) { c.CRTransfer = true; c.MoldableSubmissions = true }},
 		{"factor4", func(c *Config) { c.FactorOverride = 4 }},
-		{"preferredOnly", func(c *Config) { c.PreferredOnlyPolicy = true }},
 		{"inhibitor", func(c *Config) { c.SchedPeriod = 30 * sim.Second }},
-		{"noPolicy", func(c *Config) { c.Policy = false }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -160,8 +159,7 @@ func TestEnergyWithDeepSleepCompletesAndMeters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 20
 	cfg.Energy = true
-	cfg.IdleSleep = 30 * sim.Second
-	cfg.SleepState = 1 // deep sleep: 30 s wake latency
+	cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: 30 * sim.Second, State: 1}} // deep sleep: 30 s wake latency
 	sys := NewSystem(cfg)
 	sys.SubmitAll(specs)
 	res := sys.Run()

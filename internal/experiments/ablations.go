@@ -56,7 +56,7 @@ func PolicyModes(jobs int, seed int64) []AblationRow {
 	specs := workload.Generate(workload.Preliminary(jobs, 1, seed))
 	full := preliminaryConfig()
 	pref := preliminaryConfig()
-	pref.PreferredOnlyPolicy = true
+	pref.Policy = core.PreferredOnly
 	return []AblationRow{
 		{Name: "algorithm1-full", Result: core.RunWorkload(full, specs)},
 		{Name: "preferred-only", Result: core.RunWorkload(pref, specs)},

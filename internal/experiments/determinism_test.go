@@ -63,7 +63,6 @@ func TestSchedulerDeterminismGolden(t *testing.T) {
 func TestSchedulerDeterminismGoldenThermalLadder(t *testing.T) {
 	specs := workload.SetFlexible(workload.Generate(workload.Realistic(50, DefaultSeed)), true)
 	cfg := energyConfig(false)
-	cfg.IdleSleep = 0
 	cfg.SleepLadder = slurm.DefaultSleepLadder()
 	cfg.Thermal = true
 	sys := core.NewSystem(cfg)

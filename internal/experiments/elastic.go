@@ -87,7 +87,6 @@ func elasticParams(jobs int, pattern string, seed int64) (workload.Params, error
 // stock sleep ladder, plus the elastic envelope when el is non-nil.
 func elasticConfig(el *slurm.ElasticConfig) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Energy = true
 	cfg.SleepLadder = slurm.DefaultSleepLadder()
 	cfg.Elastic = el
 	return cfg

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/slurm"
 	"repro/internal/workload"
 )
 
@@ -46,9 +47,10 @@ func (r EnergyRow) AwareGainPct() float64 {
 // sleeping after DefaultIdleSleep, and the requested policy variant.
 func energyConfig(aware bool) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Energy = true
-	cfg.IdleSleep = DefaultIdleSleep
-	cfg.EnergyPolicy = aware
+	cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: DefaultIdleSleep}}
+	if aware {
+		cfg.Policy = core.EnergyAware
+	}
 	return cfg
 }
 

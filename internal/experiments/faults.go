@@ -71,8 +71,7 @@ type FaultRow struct {
 // and the regime's checkpoint cadence.
 func faultConfig(mtbf sim.Time, ckptEvery int, seed int64) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Energy = true
-	cfg.IdleSleep = DefaultIdleSleep
+	cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: DefaultIdleSleep}}
 	cfg.Faults = &faults.Config{
 		MTBF:    mtbf,
 		MTTR:    FaultMTTR,

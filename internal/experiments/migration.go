@@ -70,7 +70,6 @@ func (r MigrationRow) MakespanDeltaPct() float64 {
 // policy doubles as the migration picker.
 func migrationConfig(mig *slurm.MigrationConfig) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Energy = true
 	cfg.SleepLadder = slurm.DefaultSleepLadder()
 	pc := mixedPlatform(MigrationFastNodes)
 	cfg.Platform = &pc

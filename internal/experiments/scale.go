@@ -184,7 +184,7 @@ func SchedulerThroughput(nodes, jobs int, seed int64) SchedStats {
 	scfg := slurm.DefaultConfig()
 	scfg.ClassAware = true
 	scfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	scfg.IdleSleep = DefaultIdleSleep
+	scfg.SleepLadder = []slurm.SleepRung{{AfterIdle: DefaultIdleSleep}}
 	ctl := slurm.NewController(cl, scfg)
 
 	specs := workload.Generate(scaleWorkloadParams(nodes, jobs, seed))

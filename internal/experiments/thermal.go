@@ -146,12 +146,11 @@ func LadderSweep(jobs int, seed int64) []LadderRun {
 		return out
 	}
 	return []LadderRun{
-		run("single-s0", func(*core.Config) {}), // today's default: IdleSleep → S0
-		run("single-s1", func(c *core.Config) { c.SleepState = 1 }),
-		run("ladder", func(c *core.Config) {
-			c.IdleSleep, c.SleepState = 0, 0
-			c.SleepLadder = slurm.DefaultSleepLadder()
+		run("single-s0", func(*core.Config) {}), // energyConfig's one rung → S0
+		run("single-s1", func(c *core.Config) {
+			c.SleepLadder = []slurm.SleepRung{{AfterIdle: DefaultIdleSleep, State: 1}}
 		}),
+		run("ladder", func(c *core.Config) { c.SleepLadder = slurm.DefaultSleepLadder() }),
 	}
 }
 

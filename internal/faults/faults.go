@@ -77,11 +77,23 @@ type Injector struct {
 	rng *rand.Rand
 }
 
-// New builds an injector. The configuration is normalized here once so
-// every consumer sees the same defaults.
+// Validate reports whether the model's rates are in range.
+func (c Config) Validate() error {
+	if c.MTBF < 0 {
+		return fmt.Errorf("faults: MTBF %v is negative (0 disables crashes)", c.MTBF)
+	}
+	if c.BootFailP < 0 || c.BootFailP > 1 {
+		return fmt.Errorf("faults: BootFailP %g is not a probability", c.BootFailP)
+	}
+	return nil
+}
+
+// New builds an injector (panicking if cfg does not validate). The
+// configuration is normalized here once so every consumer sees the same
+// defaults.
 func New(cfg Config) *Injector {
-	if cfg.MTBF < 0 || cfg.BootFailP < 0 || cfg.BootFailP > 1 {
-		panic(fmt.Sprintf("faults: invalid config (MTBF %v, BootFailP %v)", cfg.MTBF, cfg.BootFailP))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if cfg.Shape <= 0 {
 		cfg.Shape = 1

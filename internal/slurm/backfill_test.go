@@ -51,8 +51,7 @@ func TestBackfillAccountsWakeLatency(t *testing.T) {
 	cl := testCluster(4)
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	cfg.IdleSleep = 5 * sim.Second
-	cfg.SleepState = 1 // deep sleep: 30 s wake
+	cfg.SleepLadder = []SleepRung{{AfterIdle: 5 * sim.Second, State: 1}} // deep sleep: 30 s wake
 	c := NewController(cl, cfg)
 
 	// Occupy nodes 0-1 immediately so only nodes 2-3 fall asleep.
@@ -86,7 +85,7 @@ func TestAllocatePrefersAwakeNodes(t *testing.T) {
 	cl := testCluster(4)
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	cfg.IdleSleep = 10 * sim.Second
+	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
 	c := NewController(cl, cfg)
 
 	// Hold nodes 0-1 out of service so the first job lands on 2-3,

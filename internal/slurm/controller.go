@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -15,9 +16,6 @@ type Config struct {
 	// SchedDelay is the reaction latency between a state change and the
 	// scheduling pass it triggers (slurmctld event handling latency).
 	SchedDelay sim.Time
-	// Backfill enables EASY backfill in every scheduling pass (the
-	// paper's Slurm ran the backfill scheduler).
-	Backfill bool
 	// Policy decides reconfiguration requests (nil disables DMR).
 	Policy SelectPlugin
 	// RPCService is the controller-side service time of one
@@ -28,21 +26,14 @@ type Config struct {
 	// Energy, when non-nil, receives every node power-state transition
 	// and attributes per-job energy (the EnergyJ accounting column).
 	Energy *energy.Accountant
-	// IdleSleep is the idle timeout after which a free node drops to a
-	// sleep state; 0 keeps idle nodes powered on. Requires Energy.
-	IdleSleep sim.Time
-	// SleepState selects which S-state idle nodes drop into (0 is the
-	// shallowest). Allocating a sleeping node pays its wake latency
-	// before the job launches.
-	SleepState int
-	// SleepLadder, when non-empty, replaces the single IdleSleep/
-	// SleepState drop with a deepening ladder: a node idle for
-	// rung.AfterIdle sinks to rung.State, stepping deeper the longer it
-	// stays idle. Rungs must have strictly increasing AfterIdle and
-	// State (deeper rungs draw less but wake slower — allocating a
-	// laddered node pays the wake latency of the rung it actually
-	// occupies, so energy-aware backfill's wake pricing and the
-	// allocator's awake-first preference face a real gradient).
+	// SleepLadder, when non-empty, puts idle nodes to sleep: a node idle
+	// for rung.AfterIdle sinks to rung.State, stepping deeper the longer
+	// it stays idle (a one-rung ladder is the single idle-timeout drop;
+	// empty keeps idle nodes powered on). Rungs must have strictly
+	// increasing AfterIdle and State (deeper rungs draw less but wake
+	// slower — allocating a laddered node pays the wake latency of the
+	// rung it actually occupies, so energy-aware backfill's wake pricing
+	// and the allocator's awake-first preference face a real gradient).
 	// Requires Energy.
 	SleepLadder []SleepRung
 	// PowerCapW bounds the instantaneous cluster draw (facility power
@@ -94,12 +85,12 @@ type Config struct {
 	Migration *MigrationConfig
 }
 
-// DefaultConfig mirrors the paper's Slurm setup: backfill scheduling with
-// multifactor priorities at defaults.
+// DefaultConfig mirrors the paper's Slurm setup: multifactor priorities
+// at defaults (every scheduling pass runs EASY backfill, as the paper's
+// Slurm did).
 func DefaultConfig() Config {
 	return Config{
 		SchedDelay: 100 * sim.Millisecond,
-		Backfill:   true,
 		RPCService: 100 * sim.Millisecond,
 	}
 }
@@ -135,7 +126,6 @@ type Controller struct {
 	kicked    bool
 	rpcSlot   *sim.Resource // serializes reconfiguration decisions
 	sleepGen  []int         // per-node timer generation; allocation invalidates armed sleeps
-	ladder    []SleepRung   // normalized idle S-state ladder (nil: idle nodes never sleep)
 
 	// bootUntil records, per node, when its current wake/boot transition
 	// completes (zero or past: not transitioning). It is the state the
@@ -228,18 +218,43 @@ func validateLadder(ladder []SleepRung) error {
 	return nil
 }
 
-// NewController builds a controller over the cluster's nodes.
-func NewController(c *platform.Cluster, cfg Config) *Controller {
-	if cfg.PowerCapW > 0 && cfg.Energy == nil {
-		panic("slurm: PowerCapW requires an energy accountant")
+// Validate reports the first rule cfg breaks on a cluster of the given
+// node count. NewController panics with the same error, so callers
+// building from user input call Validate first.
+func (cfg Config) Validate(nodes int) error {
+	if cfg.Energy == nil && (cfg.PowerCapW > 0 || len(cfg.SleepLadder) > 0 || cfg.Elastic != nil || cfg.Faults != nil) {
+		return errors.New("slurm: PowerCapW, SleepLadder, Elastic and Faults require an energy accountant")
 	}
-	if len(cfg.SleepLadder) > 0 {
-		if cfg.Energy == nil {
-			panic("slurm: SleepLadder requires an energy accountant")
+	if cfg.PowerCapW < 0 {
+		return fmt.Errorf("slurm: PowerCapW %g W is negative (0 disables capping)", cfg.PowerCapW)
+	}
+	if err := validateLadder(cfg.SleepLadder); err != nil {
+		return err
+	}
+	if el := cfg.Elastic; el != nil {
+		if el.Min < 0 || el.Max < 0 {
+			return fmt.Errorf("slurm: Elastic envelope %d:%d has a negative bound", el.Min, el.Max)
 		}
-		if err := validateLadder(cfg.SleepLadder); err != nil {
-			panic(err)
+		// initElastic clamps Min to the cluster and reads Max 0 (or
+		// beyond the cluster) as the whole cluster, so the envelope is
+		// inverted only when a Max inside the cluster undercuts Min.
+		if el.Max > 0 && el.Max < el.Min && el.Max < nodes {
+			return fmt.Errorf("slurm: Elastic envelope %d:%d is inverted", el.Min, el.Max)
 		}
+	}
+	if cfg.Migration != nil {
+		if _, ok := cfg.Policy.(MigrationPicker); !ok {
+			return errors.New("slurm: Migration requires a Policy implementing MigrationPicker")
+		}
+	}
+	return nil
+}
+
+// NewController builds a controller over the cluster's nodes. It panics
+// if cfg does not validate.
+func NewController(c *platform.Cluster, cfg Config) *Controller {
+	if err := cfg.Validate(len(c.Nodes)); err != nil {
+		panic(err)
 	}
 	ctl := &Controller{
 		cluster:   c,
@@ -254,15 +269,7 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 		sleepGen:  make([]int, len(c.Nodes)),
 		bootUntil: make([]sim.Time, len(c.Nodes)),
 	}
-	// Normalize the sleep configuration into one ladder: the legacy
-	// single-state drop is a one-rung ladder.
 	if cfg.Energy != nil {
-		switch {
-		case len(cfg.SleepLadder) > 0:
-			ctl.ladder = cfg.SleepLadder
-		case cfg.IdleSleep > 0:
-			ctl.ladder = []SleepRung{{AfterIdle: cfg.IdleSleep, State: cfg.SleepState}}
-		}
 		cfg.Energy.OnThermal = ctl.onThermal
 	}
 	if cfg.Telemetry != nil {
@@ -876,7 +883,7 @@ func (c *Controller) bootDone(n *platform.Node, until sim.Time) {
 // nodes. Drained nodes never sleep: they are held out of service for
 // maintenance and stay powered on.
 func (c *Controller) armSleep(n *platform.Node) {
-	if len(c.ladder) == 0 || c.drained[n.Index] || c.isOffline(n.Index) || c.nodeFailed(n.Index) {
+	if len(c.cfg.SleepLadder) == 0 || c.drained[n.Index] || c.isOffline(n.Index) || c.nodeFailed(n.Index) {
 		return
 	}
 	c.sleepGen[n.Index]++
@@ -889,9 +896,9 @@ func (c *Controller) armSleep(n *platform.Node) {
 // — an idle fleet floods the calendar with O(nodes) timers, not
 // O(nodes × rungs).
 func (c *Controller) armRung(n *platform.Node, gen, rung int) {
-	delay := c.ladder[rung].AfterIdle
+	delay := c.cfg.SleepLadder[rung].AfterIdle
 	if rung > 0 {
-		delay -= c.ladder[rung-1].AfterIdle
+		delay -= c.cfg.SleepLadder[rung-1].AfterIdle
 	}
 	c.k.After(delay, func() {
 		if c.sleepGen[n.Index] != gen {
@@ -900,7 +907,7 @@ func (c *Controller) armRung(n *platform.Node, gen, rung int) {
 		a := c.cfg.Energy
 		wasSleeping := a.State(n.Index) == energy.Sleeping
 		prevRung := a.SStateOf(n.Index)
-		a.NodeSleep(n.Index, c.ladder[rung].State)
+		a.NodeSleep(n.Index, c.cfg.SleepLadder[rung].State)
 		if a.State(n.Index) == energy.Sleeping && (!wasSleeping || a.SStateOf(n.Index) != prevRung) {
 			// The node actually descended (the accountant refuses
 			// non-idle nodes and clamps rungs past the profile's S-state
@@ -920,7 +927,7 @@ func (c *Controller) armRung(n *platform.Node, gen, rung int) {
 				c.kick()
 			}
 		}
-		if rung+1 < len(c.ladder) {
+		if rung+1 < len(c.cfg.SleepLadder) {
 			c.armRung(n, gen, rung+1)
 		}
 	})

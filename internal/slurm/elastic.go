@@ -1,7 +1,6 @@
 package slurm
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -78,21 +77,12 @@ type elasticState struct {
 // from NewController before the initial sleep timers are armed: nodes
 // above Min start powered off, not napping.
 func (c *Controller) initElastic(cfg ElasticConfig) {
-	if c.cfg.Energy == nil {
-		panic("slurm: Elastic requires an energy accountant")
-	}
 	n := len(c.cluster.Nodes)
-	if cfg.Min < 0 {
-		panic(fmt.Sprintf("slurm: Elastic.Min %d is negative", cfg.Min))
-	}
 	if cfg.Min > n {
 		cfg.Min = n
 	}
 	if cfg.Max <= 0 || cfg.Max > n {
 		cfg.Max = n
-	}
-	if cfg.Max < cfg.Min {
-		panic(fmt.Sprintf("slurm: Elastic envelope %d:%d is inverted", cfg.Min, cfg.Max))
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 30 * sim.Second
@@ -294,8 +284,8 @@ func (c *Controller) provisionNode(n *platform.Node) {
 func (c *Controller) elasticScaleDown(surplus int) {
 	a := c.cfg.Energy
 	minDepth := 0
-	if len(c.ladder) > 0 {
-		minDepth = c.ladder[len(c.ladder)-1].State
+	if len(c.cfg.SleepLadder) > 0 {
+		minDepth = c.cfg.SleepLadder[len(c.cfg.SleepLadder)-1].State
 	}
 	type cand struct{ idx, depth int }
 	cands := make([]cand, 0, surplus)
@@ -304,7 +294,7 @@ func (c *Controller) elasticScaleDown(surplus int) {
 		switch {
 		case cp.asleep.has(i) && a.SStateOf(i) >= minDepth:
 			cands = append(cands, cand{i, a.SStateOf(i)})
-		case cp.awake.has(i) && len(c.ladder) == 0:
+		case cp.awake.has(i) && len(c.cfg.SleepLadder) == 0:
 			cands = append(cands, cand{i, -1})
 		}
 	}

@@ -11,12 +11,14 @@ import (
 )
 
 // energyController builds a controller with accounting and the given
-// idle-sleep timeout on a fresh cluster.
+// idle-sleep timeout (0: idle nodes never sleep) on a fresh cluster.
 func energyController(nodes int, idleSleep sim.Time) (*platform.Cluster, *Controller) {
 	cl := testCluster(nodes)
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	cfg.IdleSleep = idleSleep
+	if idleSleep > 0 {
+		cfg.SleepLadder = []SleepRung{{AfterIdle: idleSleep}}
+	}
 	return cl, NewController(cl, cfg)
 }
 
@@ -161,8 +163,7 @@ func TestExpandDanceOnSleepingNodesChargesTarget(t *testing.T) {
 	cl := testCluster(3)
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	cfg.IdleSleep = 10 * sim.Second
-	cfg.SleepState = 1
+	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 1}}
 	c := NewController(cl, cfg)
 
 	a := &Job{Name: "A", ReqNodes: 1, TimeLimit: sim.Hour, Flexible: true}

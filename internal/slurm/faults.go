@@ -93,9 +93,6 @@ type faultState struct {
 // after the elastic controller (if any) is attached, so the initial
 // draws happen in node index order regardless of configuration.
 func (c *Controller) initFaults() {
-	if c.cfg.Energy == nil {
-		panic("slurm: Faults requires an energy accountant")
-	}
 	n := len(c.cluster.Nodes)
 	c.faults = &faultState{
 		model:         c.cfg.Faults,

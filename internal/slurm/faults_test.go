@@ -161,7 +161,9 @@ func TestFaultCrashRequeuesRigidJob(t *testing.T) {
 // to the drain books, and only Resume re-pools it.
 func TestFaultCrashMidBootVoidsBootAndDrainHolds(t *testing.T) {
 	fm := &stubFaults{crash: []sim.Time{25 * sim.Second}, repair: 100 * sim.Second}
-	cl, c := faultController(1, fm, func(cfg *Config) { cfg.IdleSleep = 10 * sim.Second })
+	cl, c := faultController(1, fm, func(cfg *Config) {
+		cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
+	})
 	// t=10: the idle node sleeps. t=20: drain wakes it for maintenance
 	// (a real boot window). t=25: crash lands mid-boot.
 	cl.K.At(20*sim.Second, func() {

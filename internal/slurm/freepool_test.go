@@ -163,7 +163,7 @@ func TestPickNodesMatchesReference(t *testing.T) {
 				scfg.ClassAware = mode.classAware
 				if mode.energy {
 					scfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-					scfg.IdleSleep = 30 * sim.Second
+					scfg.SleepLadder = []SleepRung{{AfterIdle: 30 * sim.Second}}
 				}
 				c := NewController(cl, scfg)
 

@@ -280,8 +280,7 @@ func runInvariantFuzz(t *testing.T, ic invConfig, seed int64) {
 			{AfterIdle: 160 * sim.Second, State: 1},
 		}
 	} else {
-		cfg.IdleSleep = 40 * sim.Second
-		cfg.SleepState = rng.Intn(2)
+		cfg.SleepLadder = []SleepRung{{AfterIdle: 40 * sim.Second, State: rng.Intn(2)}}
 	}
 	if ic.powercap {
 		// Between the all-idle floor and the all-P0 peak: tight enough to

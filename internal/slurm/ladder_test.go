@@ -133,13 +133,13 @@ func TestLadderRestartsAfterAllocation(t *testing.T) {
 	}
 }
 
-// The legacy single-state configuration behaves as a one-rung ladder.
-func TestLegacySleepConfigIsOneRungLadder(t *testing.T) {
+// A one-rung ladder is the single idle-timeout drop: idle nodes sink
+// straight to the rung's S-state and stay there.
+func TestOneRungLadderDropsOnceAndHolds(t *testing.T) {
 	cl := testCluster(2)
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	cfg.IdleSleep = 30 * sim.Second
-	cfg.SleepState = 1
+	cfg.SleepLadder = []SleepRung{{AfterIdle: 30 * sim.Second, State: 1}}
 	c := NewController(cl, cfg)
 	cl.K.RunUntil(31 * sim.Second)
 	a := c.Energy()

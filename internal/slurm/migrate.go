@@ -105,14 +105,10 @@ func (c *Controller) initMigration() {
 	if mc.MaxSlowdown <= 0 {
 		mc.MaxSlowdown = 2
 	}
-	picker, ok := c.cfg.Policy.(MigrationPicker)
-	if !ok {
-		panic("slurm: Migration requires a Policy implementing MigrationPicker")
-	}
 	c.migration = &migrationState{
 		cfg:    mc,
 		cp:     checkpoint.New(c.cluster),
-		picker: picker,
+		picker: c.cfg.Policy.(MigrationPicker), // Validate checked it
 		orders: make(map[int]*migrationOrder),
 	}
 }

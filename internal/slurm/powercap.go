@@ -20,8 +20,8 @@ import (
 // powerSlack is the float tolerance of cap comparisons.
 const powerSlack = 1e-9
 
-// capped reports whether power capping is active.
-func (c *Controller) capped() bool { return c.cfg.PowerCapW > 0 && c.cfg.Energy != nil }
+// capped reports whether power capping is active (Validate pairs a cap with an accountant).
+func (c *Controller) capped() bool { return c.cfg.PowerCapW > 0 }
 
 // allocDeltaW projects the rise in cluster draw from activating nodes at
 // P-state ps, given their current (idle or sleeping) draw.

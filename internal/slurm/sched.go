@@ -206,7 +206,7 @@ func (c *Controller) schedulePass() {
 			break
 		}
 	}
-	if blocked == nil || !c.cfg.Backfill {
+	if blocked == nil {
 		return
 	}
 

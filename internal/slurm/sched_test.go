@@ -68,7 +68,7 @@ func TestFreePoolsWithDrainedAndSleeping(t *testing.T) {
 	cl := mixedTestCluster(2, 2)
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
-	cfg.IdleSleep = 10 * sim.Second
+	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
 	c := NewController(cl, cfg)
 
 	// Let the whole idle cluster fall asleep, then drain one fast node.

@@ -22,24 +22,17 @@ import "repro/internal/slurm"
 // of the running application outranks the energy bias.
 type EnergyAware struct {
 	base Policy
-	// DenseQueue is the eligible-pending-job count at or above which the
-	// queue counts as dense and full Algorithm 1 takes over.
-	DenseQueue int
 }
 
-// DefaultDenseQueue is the arrival density at which the energy bias
-// yields to throughput optimization.
-const DefaultDenseQueue = 3
+// DenseQueue is the eligible-pending-job count at or above which the
+// queue counts as dense and full Algorithm 1 takes over: the arrival
+// density at which the energy bias yields to throughput optimization.
+const DenseQueue = 3
 
-// NewEnergyAware returns the energy-aware plug-in with the default
-// density threshold.
-func NewEnergyAware() *EnergyAware { return &EnergyAware{DenseQueue: DefaultDenseQueue} }
-
-// NewEnergyAwareWith returns the energy-aware plug-in over a configured
-// Algorithm 1 core (e.g. one with ClassAware expansion pricing).
-func NewEnergyAwareWith(base Policy) *EnergyAware {
-	return &EnergyAware{base: base, DenseQueue: DefaultDenseQueue}
-}
+// NewEnergyAware returns the energy-aware plug-in over a configured
+// Algorithm 1 core (the zero Policy is plain Algorithm 1; set
+// ClassAware for class-aware expansion pricing).
+func NewEnergyAware(base Policy) *EnergyAware { return &EnergyAware{base: base} }
 
 var _ slurm.SelectPlugin = (*EnergyAware)(nil)
 
@@ -59,12 +52,8 @@ func (p *EnergyAware) Decide(v *slurm.QueueView, req slurm.ResizeRequest) slurm.
 		return p.base.Decide(v, req)
 	}
 
-	dense := p.DenseQueue
-	if dense < 1 {
-		dense = DefaultDenseQueue
-	}
 	pending := v.PendingEligible()
-	if len(pending) >= dense {
+	if len(pending) >= DenseQueue {
 		return p.base.Decide(v, req)
 	}
 	if len(pending) == 0 {

@@ -15,7 +15,7 @@ func newEnergyHarness(t *testing.T, total, hold int, pendingSizes ...int) *harne
 	cfg.Nodes = total
 	cl := platform.New(cfg)
 	scfg := slurm.DefaultConfig()
-	scfg.Policy = NewEnergyAware()
+	scfg.Policy = NewEnergyAware(Policy{})
 	ctl := slurm.NewController(cl, scfg)
 	h := &harness{cl: cl, ctl: ctl}
 

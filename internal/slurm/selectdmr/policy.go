@@ -30,13 +30,6 @@ type Policy struct {
 // New returns the full Algorithm 1 plug-in.
 func New() *Policy { return &Policy{} }
 
-// NewPreferredOnly returns the ablated plug-in without wide optimization.
-func NewPreferredOnly() *Policy { return &Policy{DisableWide: true} }
-
-// NewClassAware returns Algorithm 1 with class-aware expansion pricing
-// for heterogeneous fleets.
-func NewClassAware() *Policy { return &Policy{ClassAware: true} }
-
 var _ slurm.SelectPlugin = (*Policy)(nil)
 
 // chainUp returns the largest size reachable from cur by multiplying by
