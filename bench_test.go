@@ -262,59 +262,6 @@ func BenchmarkEnergyRigidVsMalleable(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerThroughput measures the scheduler hot path at
-// cluster scale: 1024 mixed-fleet nodes, 5000 class-demanding jobs,
-// class-aware placement with energy accounting and idle sleep, and
-// applications reduced to timers so every cycle goes to schedulePass,
-// pickNodes, the backfill scan and the power-state bookkeeping. Reports
-// kernel events/sec and completed jobs/sec; scripts/bench.sh tracks them
-// across PRs in BENCH_scale.json.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	const nodes, jobs = 1024, 5000
-	var events uint64
-	completed := 0
-	for i := 0; i < b.N; i++ {
-		st := experiments.SchedulerThroughput(nodes, jobs, experiments.DefaultSeed)
-		events += st.KernelEvents
-		completed += st.Completed
-	}
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(events)/sec, "events/s")
-		b.ReportMetric(float64(completed)/sec, "jobs/s")
-	}
-}
-
-// BenchmarkKernelEventRate measures raw calendar throughput under the
-// pattern real workloads produce: chains of same-time self-reschedules
-// (dispatch handshakes, signal wakeups) mixed 3:1 with time-advancing
-// events that exercise the heap.
-func BenchmarkKernelEventRate(b *testing.B) {
-	k := sim.NewKernel()
-	remaining := b.N
-	var tick func()
-	tick = func() {
-		if remaining <= 0 {
-			return
-		}
-		remaining--
-		if remaining%4 == 0 {
-			k.After(sim.Microsecond, tick)
-		} else {
-			k.After(0, tick)
-		}
-	}
-	for i := 0; i < 16 && i < b.N; i++ {
-		k.After(0, tick)
-	}
-	b.ResetTimer()
-	k.Run()
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(k.Events())/sec, "events/s")
-	}
-}
-
 func metrics2pct(c experiments.Comparison) float64 {
 	f := c.Fixed.AvgCompletion.Seconds()
 	x := c.Flexible.AvgCompletion.Seconds()

@@ -54,10 +54,6 @@ type Config struct {
 	// BootFailP is the probability that an elastic provision boot
 	// fails to bring the node up (per attempt). 0 disables.
 	BootFailP float64
-	// MaxStrikes is the number of consecutive boot failures after
-	// which a node is marked unhealthy and sent to repair instead of
-	// being retried. 0 defaults to 3.
-	MaxStrikes int
 	// RetryBase is the initial boot-retry backoff; doubles per strike
 	// up to RetryCap. Defaults: 60 s base, 15 min cap.
 	RetryBase sim.Time
@@ -103,9 +99,6 @@ func New(cfg Config) *Injector {
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 30 * 24 * 3600 * sim.Second
-	}
-	if cfg.MaxStrikes <= 0 {
-		cfg.MaxStrikes = 3
 	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 60 * sim.Second
@@ -186,9 +179,6 @@ func (in *Injector) BootRetry(strike int) sim.Time {
 	}
 	return d
 }
-
-// MaxStrikes returns the unhealthy threshold.
-func (in *Injector) MaxStrikes() int { return in.cfg.MaxStrikes }
 
 func (in *Injector) String() string {
 	return fmt.Sprintf("faults{mtbf=%v shape=%.2f mttr=%v bootfail=%.3f}",

@@ -30,14 +30,11 @@ func TestNewValidatesAndNormalizes(t *testing.T) {
 		}()
 	}
 	in := New(Config{MTBF: 1000 * sim.Second})
-	if in.cfg.Shape != 1 || in.cfg.MTTR != 3600*sim.Second || in.cfg.MaxStrikes != 3 {
+	if in.cfg.Shape != 1 || in.cfg.MTTR != 3600*sim.Second {
 		t.Fatalf("defaults not applied: %+v", in.cfg)
 	}
 	if in.cfg.Horizon != 30*24*3600*sim.Second {
 		t.Fatalf("horizon default %v", in.cfg.Horizon)
-	}
-	if in.MaxStrikes() != 3 {
-		t.Fatalf("MaxStrikes %d", in.MaxStrikes())
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 // WallTime forbids reading the host clock inside the simulator's
 // deterministic packages. The kernel provides virtual time only; a
 // single time.Now smuggled into a scheduling path shows up three PRs
-// later as a golden diff nobody can bisect. The two legitimate uses —
-// observing scheduler-pass wall latency into the telemetry profiling
-// registry, and the scale experiment's throughput measurement — carry
-// //simcheck:allow walltime annotations, and the analyzer additionally
-// checks that an allowed wall-clock value can flow only into other
-// (allowed) time calls or into a telemetry.Prof-style observation.
+// later as a golden diff nobody can bisect. No simulator package reads
+// the clock today (host time is measured by dmrbench, outside the
+// module). A future exemption must carry a //simcheck:allow walltime
+// annotation, and the analyzer additionally checks that an allowed
+// wall-clock value can flow only into other (allowed) time calls or
+// into a telemetry.Prof-style observation.
 var WallTime = &analysis.Analyzer{
 	Name: "walltime",
 	Doc: `walltime: forbid wall-clock reads in deterministic packages
@@ -48,9 +48,10 @@ var wallFuncs = map[string]bool{
 	"Tick": true, "NewTicker": true, "NewTimer": true,
 }
 
-// profRecv matches receiver expressions that conventionally denote the
-// wall-clock profiling registry or instruments created from it
-// (telemetry.Sink.Prof, Controller.tel.passWall, ...).
+// profRecv matches receiver expressions that conventionally denote a
+// wall-clock profiling registry or an instrument created from one (a
+// field named Prof, passWall, ...). The simulator itself has none; the
+// rule keeps the shape checkable should one return.
 var profRecv = regexp.MustCompile(`(?i)(prof|wall)`)
 
 func runWallTime(pass *analysis.Pass) (any, error) {
@@ -135,7 +136,7 @@ func checkWallFlow(pass *analysis.Pass, parents map[ast.Node]ast.Node, call *ast
 // package calls (time.Since(v), v.Sub(u), v.Seconds()); the chain must
 // then terminate either in a method call on a telemetry value whose
 // receiver names the profiling side (prof/wall — so the observation
-// lands in Sink.Prof by construction, never in Reg or the trace), or,
+// lands in a profiling registry, never in Reg or the trace), or,
 // while still time-typed, in an assignment (the assignee is tracked in
 // turn if its initializer is an allowed wall call). In the experiments
 // reporting layer only, a fully converted scalar (e.g. .Seconds()) may

@@ -33,7 +33,6 @@ func (s *scriptedFaults) NextCrash(_ sim.Time, _ string) (sim.Time, bool) {
 func (s *scriptedFaults) RepairTime() sim.Time   { return s.repair }
 func (s *scriptedFaults) BootFails() bool        { return false }
 func (s *scriptedFaults) BootRetry(int) sim.Time { return sim.Minute }
-func (s *scriptedFaults) MaxStrikes() int        { return 3 }
 
 // faultRig builds a cluster and controller with the Algorithm 1 policy,
 // an energy accountant (the fault machinery runs on its meters), and a

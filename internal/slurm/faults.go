@@ -50,10 +50,11 @@ type FaultModel interface {
 	BootFails() bool
 	// BootRetry returns the backoff before boot attempt strike+1.
 	BootRetry(strike int) sim.Time
-	// MaxStrikes is the consecutive-boot-failure count after which a
-	// node is marked unhealthy and sent to repair instead of retried.
-	MaxStrikes() int
 }
+
+// maxStrikes is the consecutive-boot-failure count after which a node
+// is marked unhealthy and sent to repair instead of retried.
+const maxStrikes = 3
 
 // FaultStats aggregates a run's fault and recovery activity.
 type FaultStats struct {
@@ -397,7 +398,7 @@ func (c *Controller) bootFailed(n *platform.Node) {
 	f.stats.BootFails++
 	c.logNode(EvBootFail, n, 0)
 	c.elasticGauge()
-	if f.strikes[i] >= f.model.MaxStrikes() {
+	if f.strikes[i] >= maxStrikes {
 		// Unhealthy: out of the provision rotation until repaired.
 		f.unhealthy[i] = true
 		f.repairPending[i] = true

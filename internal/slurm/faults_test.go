@@ -13,13 +13,12 @@ import (
 // afterwards); 0 means "this life never crashes". Boot verdicts replay
 // the boots slice and then succeed.
 type stubFaults struct {
-	crash      []sim.Time
-	i          int
-	repair     sim.Time
-	boots      []bool
-	bi         int
-	retry      sim.Time
-	maxStrikes int
+	crash  []sim.Time
+	i      int
+	repair sim.Time
+	boots  []bool
+	bi     int
+	retry  sim.Time
 }
 
 func (s *stubFaults) NextCrash(_ sim.Time, _ string) (sim.Time, bool) {
@@ -51,13 +50,6 @@ func (s *stubFaults) BootRetry(int) sim.Time {
 		return sim.Second
 	}
 	return s.retry
-}
-
-func (s *stubFaults) MaxStrikes() int {
-	if s.maxStrikes <= 0 {
-		return 3
-	}
-	return s.maxStrikes
 }
 
 // faultController builds an energy-accounted controller with a scripted
@@ -299,13 +291,13 @@ func TestFaultRepairParksUntilRelease(t *testing.T) {
 // accumulate through the backoff gate, the unhealthy threshold sends the
 // node to repair, and the post-repair boot succeeds — the wide job
 // eventually runs. (A booting node claimed by a job mid-boot never
-// draws: only boots landing free can fail.)
+// draws: only boots landing free can fail, so the long job outlasts the
+// post-repair boot.)
 func TestFaultBootFailureStrikesToUnhealthy(t *testing.T) {
 	fm := &stubFaults{
-		boots:      []bool{true, true},
-		retry:      30 * sim.Second,
-		maxStrikes: 2,
-		repair:     50 * sim.Second,
+		boots:  []bool{true, true, true}, // maxStrikes failures in a row
+		retry:  30 * sim.Second,
+		repair: 50 * sim.Second,
 	}
 	cl, c := faultController(2, fm, func(cfg *Config) {
 		cfg.Elastic = &ElasticConfig{Min: 1, Interval: 10 * sim.Second}
@@ -313,18 +305,18 @@ func TestFaultBootFailureStrikesToUnhealthy(t *testing.T) {
 	if got := c.Energy().State(1); got != energy.Off {
 		t.Fatalf("node 1 state %v at start, want Off (fleet opens at Min)", got)
 	}
-	long := c.Submit(faultSleeper(c, "long", 1, 600*sim.Second))
+	long := c.Submit(faultSleeper(c, "long", 1, 900*sim.Second))
 	wide := c.Submit(faultSleeper(c, "wide", 2, 5*sim.Second))
 	cl.K.Run()
 	if long.State != StateCompleted || wide.State != StateCompleted {
 		t.Fatalf("job states %v / %v", long.State, wide.State)
 	}
 	fs := c.FaultStats()
-	if fs.BootFails != 2 {
-		t.Fatalf("boot failures %d, want 2", fs.BootFails)
+	if fs.BootFails != maxStrikes {
+		t.Fatalf("boot failures %d, want %d", fs.BootFails, maxStrikes)
 	}
-	if fm.bi != 3 {
-		t.Fatalf("boot verdicts consulted %d, want 3 (two failures + the success)", fm.bi)
+	if fm.bi != maxStrikes+1 {
+		t.Fatalf("boot verdicts consulted %d, want %d (the failures + the success)", fm.bi, maxStrikes+1)
 	}
 	if c.faults.unhealthy[1] || c.faults.strikes[1] != 0 {
 		t.Fatalf("strike record not cleared: unhealthy=%v strikes=%d",

@@ -26,11 +26,12 @@ import (
 // The price of a move is modeled up front by the checkpointer's
 // EstimateFullResize: the PFS write at the old width, the requeue
 // latency, the relaunch spawn, and the PFS read at the new width. The
-// policy only orders a move whose gain clears Margin times that cost,
-// and the accounting charges the modeled cost to the job (migrations /
-// migrated_s columns) — the simulated PFS traffic then pays the real
-// one. Moves are always cross-class: re-picking within the same class
-// would bounce the job back onto the nodes it just left.
+// policy only orders a move whose gain clears a fixed multiple of that
+// cost (selectdmr's migrateMargin), and the accounting charges the
+// modeled cost to the job (migrations / migrated_s columns) — the
+// simulated PFS traffic then pays the real one. Moves are always
+// cross-class: re-picking within the same class would bounce the job
+// back onto the nodes it just left.
 
 // MigrationConfig attaches the live-migration decision pass.
 type MigrationConfig struct {
@@ -38,18 +39,6 @@ type MigrationConfig struct {
 	// pass orders at most one migration; the timer re-arms while work
 	// remains, exactly like the elastic adapt loop.
 	Interval sim.Time
-	// Margin is the required multiple of the modeled checkpoint/restart
-	// cost a move's projected gain must clear (default 2): migrate only
-	// when the stretch saved safely exceeds the checkpoint paid.
-	Margin float64
-	// MaxSlowdown caps the step-loop slowdown a consolidation move may
-	// impose on the job (live speed over destination P0 speed; default
-	// 2). The scheduler's only completion promise is the time-limit end,
-	// and the limit is an estimate several times the real runtime —
-	// gating the stretched remainder against it would veto every move to
-	// a slower class. Bounding the slowdown instead keeps the job's
-	// completion within the same factor of the promise.
-	MaxSlowdown float64
 }
 
 // migrationOrder is one in-flight move: placed by the decision pass,
@@ -98,12 +87,6 @@ func (c *Controller) initMigration() {
 	mc := *c.cfg.Migration
 	if mc.Interval <= 0 {
 		mc.Interval = 600 * sim.Second
-	}
-	if mc.Margin <= 0 {
-		mc.Margin = 2
-	}
-	if mc.MaxSlowdown <= 0 {
-		mc.MaxSlowdown = 2
 	}
 	c.migration = &migrationState{
 		cfg:    mc,
@@ -249,12 +232,6 @@ type MigrateView struct {
 
 // Now returns the current virtual time.
 func (v *MigrateView) Now() sim.Time { return v.c.k.Now() }
-
-// Margin returns the configured gain-over-cost multiple.
-func (v *MigrateView) Margin() float64 { return v.c.migration.cfg.Margin }
-
-// MaxSlowdown returns the configured consolidation slowdown cap.
-func (v *MigrateView) MaxSlowdown() float64 { return v.c.migration.cfg.MaxSlowdown }
 
 // QueueDepth counts pending non-resizer jobs: consolidation only makes
 // sense when nothing is waiting for the nodes it would free.

@@ -91,9 +91,6 @@ func TestMigrateViewAccessors(t *testing.T) {
 		if v.QueueDepth() != 0 {
 			t.Errorf("queue depth %d, want 0", v.QueueDepth())
 		}
-		if v.Margin() != 2 || v.MaxSlowdown() != 2 {
-			t.Errorf("defaults margin=%v maxslowdown=%v, want 2 and 2", v.Margin(), v.MaxSlowdown())
-		}
 		if v.Remaining(j) <= 0 {
 			t.Errorf("remaining %v, want > 0", v.Remaining(j))
 		}

@@ -2,7 +2,6 @@ package slurm
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -143,18 +142,12 @@ func (c *Controller) schedulePass() {
 	// telemetry is off; the deferred publisher only exists when it is on.
 	var mainStarts, bfStarts, bfScanned uint64
 	if tel := c.tel; tel != nil {
-		//simcheck:allow walltime pass-wall latency is a Prof-only host observation
-		wallStart := time.Now()
 		defer func() {
 			tel.passes.Inc()
 			tel.mainStarts.Add(mainStarts)
 			tel.bfStarts.Add(bfStarts)
 			tel.bfScanned.Add(bfScanned)
 			tel.bfSkipped.Add(bfScanned - bfStarts)
-			// Wall-clock latency goes to the profiling registry only —
-			// never into the deterministic registry or the trace.
-			//simcheck:allow walltime pass-wall latency lands in sink.Prof only
-			tel.passWall.Observe(time.Since(wallStart).Seconds())
 			tel.sink.Trace.Instant(tracePidSched, traceTidPasses, "sched", "pass", c.k.Now(),
 				telemetry.Arg{Key: "main_starts", Val: mainStarts},
 				telemetry.Arg{Key: "backfill_starts", Val: bfStarts},

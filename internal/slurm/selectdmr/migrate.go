@@ -9,8 +9,8 @@ import (
 // migration. The controller's decision pass hands the policy a
 // read-only MigrateView and asks for at most one move; the policy
 // answers with a (job, destination class, reason, cost) tuple only when
-// the projected gain clears Margin times the modeled checkpoint/restart
-// price. Three reasons, tried in order per candidate:
+// the projected gain clears migrateMargin times the modeled
+// checkpoint/restart price. Three reasons, tried in order per candidate:
 //
 //   - evacuate: the job runs below its allocation classes' nominal P0
 //     speed (a thermal floor is binding). Moving to a cooler class
@@ -24,7 +24,7 @@ import (
 //     class onto the efficiency class when the joules saved clear the
 //     margin, so the vacated rack can ride the sleep ladder down to
 //     power-off. Consolidation trades the job's speed for fleet watts;
-//     the MaxSlowdown cap bounds how much of the job's pace it may
+//     the maxSlowdown cap bounds how much of the job's pace it may
 //     give up.
 //
 // Candidates arrive in ID order and classes in node index order, so the
@@ -34,6 +34,21 @@ var _ slurm.MigrationPicker = (*Policy)(nil)
 var _ slurm.MigrationPicker = (*EnergyAware)(nil)
 
 const speedSlack = 1e-9
+
+const (
+	// migrateMargin is the multiple of the modeled checkpoint/restart
+	// cost a move's projected gain must clear: migrate only when the
+	// stretch (or energy) saved safely exceeds the checkpoint paid.
+	migrateMargin = 2
+	// maxSlowdown caps the step-loop slowdown a consolidation move may
+	// impose on the job (live speed over destination P0 speed). The
+	// scheduler's only completion promise is the time-limit end, and the
+	// limit is an estimate several times the real runtime — gating the
+	// stretched remainder against it would veto every move to a slower
+	// class. Bounding the slowdown instead keeps the job's completion
+	// within the same factor of the promise.
+	maxSlowdown = 2
+)
 
 // PickMigration chooses at most one migration-worthy job.
 func (p *Policy) PickMigration(v *slurm.MigrateView) (slurm.MigrationDecision, bool) {
@@ -111,7 +126,7 @@ func pickEvacuate(v *slurm.MigrateView, j *slurm.Job, src []string, live float64
 		}
 		cost := v.MoveCost(j, need)
 		saved := rem - stretched(rem, live, dstSpeed)
-		if float64(saved) > v.Margin()*float64(cost) {
+		if float64(saved) > migrateMargin*float64(cost) {
 			return slurm.MigrationDecision{Job: j, Class: dst, Reason: "evacuate", Cost: cost}, true
 		}
 	}
@@ -135,7 +150,7 @@ func pickDefragment(v *slurm.MigrateView, j *slurm.Job, src []string, live float
 		}
 		cost := v.MoveCost(j, need)
 		saved := rem - stretched(rem, live, dstSpeed)
-		if float64(saved) > v.Margin()*float64(cost) {
+		if float64(saved) > migrateMargin*float64(cost) {
 			return slurm.MigrationDecision{Job: j, Class: dst, Reason: "defragment", Cost: cost}, true
 		}
 	}
@@ -147,7 +162,7 @@ func pickDefragment(v *slurm.MigrateView, j *slurm.Job, src []string, live float
 // is in joules — remaining draw on the current allocation versus the
 // stretched remainder on the destination, with the C/R window charged
 // at the current allocation's draw — and the slowdown the move imposes
-// is capped at MaxSlowdown.
+// is capped at maxSlowdown.
 func pickConsolidate(v *slurm.MigrateView, j *slurm.Job, src []string, live float64, rem sim.Time, need int) (slurm.MigrationDecision, bool) {
 	if len(src) != 1 {
 		return slurm.MigrationDecision{}, false
@@ -157,7 +172,7 @@ func pickConsolidate(v *slurm.MigrateView, j *slurm.Job, src []string, live floa
 			continue
 		}
 		dstSpeed := v.ClassSpeed(dst)
-		if dstSpeed <= 0 || live > dstSpeed*v.MaxSlowdown() {
+		if dstSpeed <= 0 || live > dstSpeed*maxSlowdown {
 			continue // would give up more pace than the cap allows
 		}
 		if v.ClassTotal(dst) < need || v.FreeOfClass(dst) < need {
@@ -168,7 +183,7 @@ func pickConsolidate(v *slurm.MigrateView, j *slurm.Job, src []string, live floa
 		curJ := rem.Seconds() * v.AllocActiveW(j)
 		newJ := after.Seconds() * float64(need) * v.ClassActiveW(dst)
 		costJ := cost.Seconds() * v.AllocActiveW(j)
-		if curJ-newJ > v.Margin()*costJ {
+		if curJ-newJ > migrateMargin*costJ {
 			return slurm.MigrationDecision{Job: j, Class: dst, Reason: "consolidate", Cost: cost}, true
 		}
 	}

@@ -12,10 +12,8 @@ import (
 // Telemetry instrumentation. Every hook hangs off Controller.tel, which
 // is nil unless Config.Telemetry attaches a sink: the disabled path is
 // one nil check per site and allocates nothing, so the byte-determinism
-// goldens and the scheduler throughput benchmark are untouched. With a
-// sink attached, everything recorded derives from virtual time and
-// controller state — except the per-pass wall-clock latency, which goes
-// into the sink's separate profiling registry (Sink.Prof).
+// goldens are untouched. With a sink attached, everything recorded
+// derives from virtual time and controller state.
 //
 // Chrome trace track layout (pid/tid):
 //
@@ -38,12 +36,10 @@ const (
 )
 
 // Histogram bucket bounds. Wait and stretch cover the realistic
-// workloads' dynamic range; the wall-clock pass buckets cover microsecond
-// to second passes.
+// workloads' dynamic range.
 var (
 	waitBuckets        = []float64{1, 10, 60, 300, 1800, 7200, 43200}
 	stretchBuckets     = []float64{1, 1.05, 1.1, 1.25, 1.5, 2, 4, 8}
-	passWallBuckets    = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}
 	lostWorkBuckets    = []float64{1, 10, 60, 300, 1800, 7200, 43200}
 	migrateCostBuckets = []float64{1, 10, 60, 300, 1800, 7200}
 )
@@ -89,9 +85,6 @@ type telState struct {
 	migrateOrders, migrations *telemetry.Counter
 	migrateCost               *telemetry.Histogram
 
-	// passWall is wall-clock and lives in sink.Prof, never in sink.Reg.
-	passWall *telemetry.Histogram
-
 	// Open-span state: the label each node/job track currently carries
 	// and since when. An empty label is a gap (idle node, finished job).
 	nodeLabel []string
@@ -132,7 +125,6 @@ func newTelState(c *Controller, sink *telemetry.Sink) *telState {
 		freepoolOps:    reg.Gauge("sched_freepool_ops"),
 		waitHist:       reg.Histogram("job_wait_seconds", waitBuckets),
 		stretchHist:    reg.Histogram("job_stretch", stretchBuckets),
-		passWall:       sink.Prof.Histogram("sched_pass_wall_seconds", passWallBuckets),
 		nodeLabel:      make([]string, len(c.cluster.Nodes)),
 		nodeSince:      make([]sim.Time, len(c.cluster.Nodes)),
 		jobLabel:       make(map[int]string),

@@ -84,14 +84,11 @@ func TestTelemetryEnabledRun(t *testing.T) {
 	}
 }
 
-// TestTelemetryProfIsolated: the wall-clock pass-latency histogram lands
-// in the profiling registry only, so the deterministic registry export
-// never depends on host speed.
+// TestTelemetryProfIsolated: the controller records no wall-clock
+// instrument, so the deterministic registry export never depends on
+// host speed.
 func TestTelemetryProfIsolated(t *testing.T) {
 	s := telemetryWorkload(t)
-	if h := s.Prof.Histogram("sched_pass_wall_seconds", passWallBuckets); h.Count() == 0 {
-		t.Fatal("no wall-clock pass observations recorded")
-	}
 	var prom bytes.Buffer
 	if err := s.Reg.WriteProm(&prom); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,7 @@ import (
 // by name (get-or-create) and exported in sorted-name order, so two runs
 // that touch the same instruments in any order produce byte-identical
 // snapshots. Values observed from simulation state are deterministic by
-// construction; wall-clock observations belong in a separate registry
-// (Sink.Prof) so deterministic exports never mix with host timing.
+// construction; host timing never enters a registry.
 
 // Counter is a monotonically increasing count.
 type Counter struct {

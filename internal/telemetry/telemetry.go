@@ -1,32 +1,29 @@
 // Package telemetry is the simulator's observability layer: a sim-time
-// structured tracer (Chrome trace-event JSON, loadable in Perfetto), a
-// deterministic metrics registry (counters/gauges/histograms with
-// stable snapshot ordering, exported as Prometheus text or CSV), and a
-// second registry reserved for wall-clock profiling observations.
+// structured tracer (Chrome trace-event JSON, loadable in Perfetto) and
+// a deterministic metrics registry (counters/gauges/histograms with
+// stable snapshot ordering, exported as Prometheus text or CSV).
 //
 // The contract with the deterministic simulation:
 //
 //   - Everything recorded in Trace and Reg derives from virtual time
 //     and simulation state only. Two runs of the same seeded workload
 //     export byte-identical traces and snapshots.
-//   - Wall-clock measurements (per-pass scheduler latency) go into
-//     Prof, never into Reg or trace args, so determinism goldens can
-//     pin Reg and the trace without pinning host speed.
+//   - Nothing here reads the host clock. Host time is measured outside
+//     the simulator: dmrsim -pprof/-rtrace and the dmrbench harness
+//     (bench/).
 //   - Instrumented code holds a nil-able *Sink and guards every hook,
 //     so the disabled path costs a nil check and allocates nothing.
 package telemetry
 
-// Sink bundles the three exporters instrumented code hangs off.
+// Sink bundles the two exporters instrumented code hangs off.
 type Sink struct {
 	// Trace records sim-time spans, instants and counter series.
 	Trace *Tracer
 	// Reg is the deterministic metrics registry (virtual-time data only).
 	Reg *Registry
-	// Prof is the wall-clock profiling registry, exported separately.
-	Prof *Registry
 }
 
-// New builds a sink with all three exporters enabled.
+// New builds a sink with both exporters enabled.
 func New() *Sink {
-	return &Sink{Trace: NewTracer(), Reg: NewRegistry(), Prof: NewRegistry()}
+	return &Sink{Trace: NewTracer(), Reg: NewRegistry()}
 }

@@ -98,18 +98,17 @@ func TestTracerEmpty(t *testing.T) {
 
 func TestSinkNew(t *testing.T) {
 	s := New()
-	if s.Trace == nil || s.Reg == nil || s.Prof == nil {
+	if s.Trace == nil || s.Reg == nil {
 		t.Fatalf("sink %+v", s)
 	}
-	// Reg and Prof are independent registries: a wall-clock instrument in
-	// Prof must never surface in a Reg export.
-	s.Prof.Histogram("pass_wall_seconds", []float64{0.001}).Observe(0.0005)
+	// A fresh sink's registry is empty: nothing registers instruments
+	// behind the caller's back.
 	var b bytes.Buffer
 	if err := s.Reg.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 {
-		t.Fatalf("Reg export leaked Prof data:\n%s", b.String())
+		t.Fatalf("fresh Reg exports data:\n%s", b.String())
 	}
 }
 
