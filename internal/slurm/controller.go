@@ -1044,7 +1044,15 @@ func (c *Controller) startJob(j *Job, n int) {
 		return
 	}
 	if j.Launch != nil {
-		c.afterWake(wake, func() { j.Launch(j, j.alloc) })
+		// A crash inside the wake window requeues the job and may restart
+		// it before this launch fires: the stale launch must not start the
+		// new incarnation a second time.
+		inc := j.Incarnation
+		c.afterWake(wake, func() {
+			if j.Incarnation == inc {
+				j.Launch(j, j.alloc)
+			}
+		})
 	}
 }
 

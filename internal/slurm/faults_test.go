@@ -147,6 +147,38 @@ func TestFaultCrashRequeuesRigidJob(t *testing.T) {
 	}
 }
 
+// Crash inside the wake window: the job starts on a sleeping node, the
+// node dies before the wake completes, and the requeued job restarts on
+// the other node. The first start's delayed launch must not fire into
+// the restarted incarnation (it used to, and the job then completed
+// twice).
+func TestFaultCrashInWakeWindowLaunchesOncePerIncarnation(t *testing.T) {
+	// Init draws: node 0 crashes at t=35, node 1 never.
+	fm := &stubFaults{crash: []sim.Time{35 * sim.Second, 0}}
+	cl, c := faultController(2, fm, func(cfg *Config) {
+		cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 1}} // S1: 30 s wake
+	})
+	launches := map[int]int{}
+	j := faultSleeper(c, "woken", 1, 10*sim.Second)
+	launch := j.Launch
+	j.Launch = func(j *Job, nodes []*platform.Node) {
+		launches[j.Incarnation]++
+		if n := launches[j.Incarnation]; n > 1 {
+			t.Errorf("incarnation %d launched %d times", j.Incarnation, n)
+			return
+		}
+		launch(j, nodes)
+	}
+	cl.K.At(30*sim.Second, func() { c.Submit(j) })
+	cl.K.Run()
+	if j.State != StateCompleted {
+		t.Fatalf("job state %v", j.State)
+	}
+	if j.Requeues != 1 || launches[0] > 1 || launches[1] != 1 {
+		t.Fatalf("requeues %d, launches per incarnation %v", j.Requeues, launches)
+	}
+}
+
 // Crash mid-boot: a drained sleeping node boots for maintenance; the
 // crash voids bootUntil, so the in-flight bootDone timer misses its
 // deadline guard and the node stays failed until repaired — then returns
