@@ -223,6 +223,16 @@ func main() {
 	specs := workload.Generate(params)
 	specs = workload.SetFlexible(specs, !*fixed)
 	sys := core.NewSystem(cfg)
+	// The controller keeps no event log: -events records its own.
+	var eventLog strings.Builder
+	if *events {
+		sys.Ctl.SubscribeEvents(func(e slurm.Event) {
+			if !e.Kind.Probe() {
+				fmt.Fprintf(&eventLog, "%12.3f  %-7s job %-4d nodes=%-3d %s\n",
+					e.T.Seconds(), e.Kind, e.JobID, e.Nodes, e.Info)
+			}
+		})
+	}
 	sys.SubmitAll(specs)
 	if *watch > 0 {
 		period := sim.Seconds(*watch)
@@ -269,26 +279,24 @@ func main() {
 		fmt.Printf("  avg cluster draw:     %10.0f W\n", res.AvgPowerW)
 		fmt.Printf("  node wake-ups:        %10d\n", sys.Energy.Wakes())
 	}
+	st := sys.Ctl.Stats()
 	if cfg.Elastic != nil {
-		boots, decomms := sys.Ctl.ElasticStats()
 		fmt.Printf("  fleet online:         %10d nodes\n", sys.Ctl.FleetNodes())
-		fmt.Printf("  node boots:           %10d\n", boots)
-		fmt.Printf("  node decommissions:   %10d\n", decomms)
+		fmt.Printf("  node boots:           %10d\n", st.Boots)
+		fmt.Printf("  node decommissions:   %10d\n", st.Decommissions)
 		fmt.Printf("  p95 waiting time:     %10.0f s\n", res.P95Wait.Seconds())
 	}
 	if cfg.Faults != nil {
-		fs := sys.Ctl.FaultStats()
-		fmt.Printf("  node failures:        %10d\n", fs.Failures)
-		fmt.Printf("  job requeues:         %10d\n", fs.Requeues)
-		fmt.Printf("  shrink recoveries:    %10d\n", fs.Shrinks)
-		fmt.Printf("  boot failures:        %10d\n", fs.BootFails)
-		fmt.Printf("  lost work:            %10.0f s\n", fs.LostWorkS)
+		fmt.Printf("  node failures:        %10d\n", st.Failures)
+		fmt.Printf("  job requeues:         %10d\n", st.Requeues)
+		fmt.Printf("  shrink recoveries:    %10d\n", st.Shrinks)
+		fmt.Printf("  boot failures:        %10d\n", st.BootFails)
+		fmt.Printf("  lost work:            %10.0f s\n", st.LostWorkS)
 	}
 	if cfg.Migration != nil {
-		ms := sys.Ctl.MigrationStats()
-		fmt.Printf("  migration orders:     %10d\n", ms.Orders)
-		fmt.Printf("  live migrations:      %10d\n", ms.Migrations)
-		fmt.Printf("  migration cost paid:  %10.0f s\n", ms.MigratedS)
+		fmt.Printf("  migration orders:     %10d\n", st.MigrationOrders)
+		fmt.Printf("  live migrations:      %10d\n", st.Migrations)
+		fmt.Printf("  migration cost paid:  %10.0f s\n", st.MigratedS)
 	}
 	if *thermal {
 		thermSec := 0.0
@@ -328,12 +336,7 @@ func main() {
 		fmt.Print(metrics.AsciiChart("completed jobs", res.Trace,
 			func(s metrics.Sample) int { return s.Completed }, res.Jobs, 72, res.Makespan))
 	}
-	if *events {
-		for _, e := range sys.Ctl.Events {
-			fmt.Printf("%12.3f  %-7s job %-4d nodes=%-3d %s\n",
-				e.T.Seconds(), e.Kind, e.JobID, e.Nodes, e.Info)
-		}
-	}
+	fmt.Print(eventLog.String())
 	if *acct {
 		if err := sys.Ctl.WriteAccountingCSV(os.Stdout); err != nil {
 			fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/slurm"
 	"repro/internal/workload"
 )
 
@@ -17,6 +18,15 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Nodes = 16
 	sys := core.NewSystem(cfg)
+
+	// The controller keeps no log: print its event stream as it runs.
+	fmt.Println("controller event log:")
+	sys.Ctl.SubscribeEvents(func(e slurm.Event) {
+		if !e.Kind.Probe() {
+			fmt.Printf("  t=%8.1fs  %-7s job %d  nodes=%-2d %s\n",
+				e.T.Seconds(), e.Kind, e.JobID, e.Nodes, e.Info)
+		}
+	})
 
 	// A flexible job submitted on 4 nodes: alone on the cluster it will
 	// expand to its maximum; when the rigid job below arrives it will
@@ -32,12 +42,6 @@ func main() {
 	})
 
 	res := sys.Run()
-
-	fmt.Println("controller event log:")
-	for _, e := range sys.Ctl.Events {
-		fmt.Printf("  t=%8.1fs  %-7s job %d  nodes=%-2d %s\n",
-			e.T.Seconds(), e.Kind, e.JobID, e.Nodes, e.Info)
-	}
 	fmt.Printf("\nworkload done at t=%.1fs; %d reconfigurations performed\n",
 		res.Makespan.Seconds(), res.Resizes)
 	for _, j := range sys.Jobs() {

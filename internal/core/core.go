@@ -107,15 +107,11 @@ type Config struct {
 	// implement the picker half) and a fleet of at least two machine
 	// classes. Nil leaves every golden byte-identical.
 	Migration *slurm.MigrationConfig
-	// Telemetry, when non-nil, wires the deterministic telemetry sink
-	// through the controller and accountant: sim-time trace spans,
-	// the metrics registry, and wall-clock profiling. Nil disables every
-	// hook (the default; the hot paths stay allocation-free).
+	// Telemetry, when non-nil, attaches the deterministic telemetry sink
+	// to the controller's event and sample streams and the accountant's
+	// power samples: sim-time trace spans and the metrics registry. Nil
+	// (the default) leaves the streams without that subscriber.
 	Telemetry *telemetry.Sink
-	// EventLogCap bounds the controller's retained event log (0 keeps
-	// everything). Million-event runs set it to hold memory flat;
-	// SubscribeEvents still streams the complete sequence.
-	EventLogCap int
 }
 
 // Policy names the selection plug-in that decides reconfigurations.
@@ -201,8 +197,6 @@ func (cfg Config) slurmConfig() slurm.Config {
 	scfg := slurm.DefaultConfig()
 	scfg.Policy = cfg.plugin()
 	scfg.ClassAware = cfg.ClassAware
-	scfg.Telemetry = cfg.Telemetry
-	scfg.EventLogCap = cfg.EventLogCap
 	scfg.SleepLadder = cfg.SleepLadder
 	scfg.PowerCapW = cfg.PowerCapW
 	scfg.Elastic = cfg.Elastic
@@ -292,12 +286,6 @@ func NewSystem(cfg Config) *System {
 		if acct.ThermalEnabled() {
 			rec.AttachThermal(acct)
 		}
-		if cfg.Telemetry != nil && cfg.Telemetry.Reg != nil {
-			// Fan-out lets the telemetry gauge ride alongside the
-			// recorder's power trace — the overwrite bug this replaced.
-			power := cfg.Telemetry.Reg.Gauge("cluster_power_w")
-			acct.SubscribePowerSamples(func(_ sim.Time, w float64) { power.Set(w) })
-		}
 		scfg.Energy = acct
 		if cfg.Faults != nil && cfg.Faults.Enabled() {
 			scfg.Faults = faults.New(*cfg.Faults)
@@ -305,6 +293,9 @@ func NewSystem(cfg Config) *System {
 	}
 	ctl := slurm.NewController(cl, scfg)
 	rec.Attach(ctl)
+	if cfg.Telemetry != nil {
+		cfg.Telemetry.Attach(ctl, acct)
+	}
 	return &System{Cfg: cfg, Cluster: cl, Ctl: ctl, Recorder: rec, Energy: acct}
 }
 
@@ -443,17 +434,16 @@ func (s *System) Run() *metrics.WorkloadResult {
 	if live := s.Cluster.K.LiveProcs(); len(live) != 0 {
 		panic(fmt.Sprintf("core: deadlocked processes after drain: %v", live))
 	}
+	if s.Energy != nil {
+		// Settle the last coalesced power sample: the power trace and
+		// the telemetry gauge both end on it.
+		s.Energy.FlushSamples()
+	}
 	if s.Cfg.Telemetry != nil {
-		// Settle the last coalesced power sample into the power gauge,
-		// then close every open trace span at the drained clock.
-		if s.Energy != nil {
-			s.Energy.FlushSamples()
-		}
-		s.Ctl.FlushTelemetry()
+		s.Cfg.Telemetry.Flush() // close every open trace span at the drained clock
 	}
 	res := metrics.Collect(s.jobs, &s.Recorder.Trace)
 	if s.Energy != nil {
-		s.Energy.FlushSamples()
 		// Energy is measured over [0, makespan] so fixed and flexible
 		// runs of different lengths compare their own workload windows;
 		// trailing sleep timers past the last job end are excluded.

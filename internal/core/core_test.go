@@ -220,15 +220,14 @@ func TestClassAwareMoldingPreferredFloor(t *testing.T) {
 	}
 	sys.SubmitAll(specs)
 	wide := sys.Jobs()[2]
+	started := -1
+	sys.Ctl.SubscribeEvents(func(ev slurm.Event) {
+		if ev.Kind == slurm.EvStart && ev.JobID == wide.ID && started < 0 {
+			started = ev.Nodes
+		}
+	})
 	sys.Run()
 
-	started := -1
-	for _, ev := range sys.Ctl.Events {
-		if ev.Kind == slurm.EvStart && ev.JobID == wide.ID {
-			started = ev.Nodes
-			break
-		}
-	}
 	if started != 8 {
 		t.Fatalf("wide pinned flexible job started at %d nodes, want its full 8-node width (preferred-size floor)", started)
 	}

@@ -12,6 +12,25 @@ import (
 	"repro/internal/workload"
 )
 
+// lifecycleLog subscribes to the system's controller and renders every
+// lifecycle event (probes skipped) as one line, counting them; each
+// event is also handed to also, when non-nil.
+func lifecycleLog(sys *core.System, also func(slurm.Event)) (*bytes.Buffer, *int) {
+	var log bytes.Buffer
+	n := 0
+	sys.Ctl.SubscribeEvents(func(ev slurm.Event) {
+		if ev.Kind.Probe() {
+			return
+		}
+		n++
+		fmt.Fprintf(&log, "%d %v %d %d %s\n", int64(ev.T), ev.Kind, ev.JobID, ev.Nodes, ev.Info)
+		if also != nil {
+			also(ev)
+		}
+	})
+	return &log, &n
+}
+
 // TestSchedulerDeterminismGolden pins the complete observable behavior of
 // the simulator on the 50-job realistic workload (flexible, with energy
 // accounting and idle sleep): the kernel's process-resume trace, the
@@ -31,13 +50,10 @@ func TestSchedulerDeterminismGolden(t *testing.T) {
 		resumes++
 		fmt.Fprintf(&trace, "%d %s\n", int64(tm), what)
 	}
+	events, ctlEvents := lifecycleLog(sys, nil)
 	sys.SubmitAll(specs)
 	res := sys.Run()
 
-	var events bytes.Buffer
-	for _, ev := range sys.Ctl.Events {
-		fmt.Fprintf(&events, "%d %v %d %d %s\n", int64(ev.T), ev.Kind, ev.JobID, ev.Nodes, ev.Info)
-	}
 	var acct bytes.Buffer
 	if err := sys.Ctl.WriteAccountingCSV(&acct); err != nil {
 		t.Fatal(err)
@@ -48,7 +64,7 @@ func TestSchedulerDeterminismGolden(t *testing.T) {
 		"ctl_events %d\nctl_events_sha256 %x\n",
 		res.Jobs, res.Makespan.Seconds(), res.EnergyJ,
 		sys.Cluster.K.Events(), resumes, sha256.Sum256(trace.Bytes()),
-		len(sys.Ctl.Events), sha256.Sum256(events.Bytes()))
+		*ctlEvents, sha256.Sum256(events.Bytes()))
 	checkGolden(t, "determinism_50j_summary.txt", []byte(summary))
 	checkGolden(t, "determinism_50j_accounting.csv", acct.Bytes())
 }
@@ -73,13 +89,8 @@ func TestSchedulerDeterminismGoldenThermalLadder(t *testing.T) {
 		resumes++
 		fmt.Fprintf(&trace, "%d %s\n", int64(tm), what)
 	}
-	sys.SubmitAll(specs)
-	res := sys.Run()
-
-	var events bytes.Buffer
 	throttles, restores, sleeps := 0, 0, 0
-	for _, ev := range sys.Ctl.Events {
-		fmt.Fprintf(&events, "%d %v %d %d %s\n", int64(ev.T), ev.Kind, ev.JobID, ev.Nodes, ev.Info)
+	events, ctlEvents := lifecycleLog(sys, func(ev slurm.Event) {
 		switch ev.Kind {
 		case slurm.EvThermalThrottle:
 			throttles++
@@ -88,7 +99,10 @@ func TestSchedulerDeterminismGoldenThermalLadder(t *testing.T) {
 		case slurm.EvSleep:
 			sleeps++
 		}
-	}
+	})
+	sys.SubmitAll(specs)
+	res := sys.Run()
+
 	if throttles == 0 {
 		t.Fatal("the thermal workload never crossed an envelope — the golden would pin nothing")
 	}
@@ -104,7 +118,7 @@ func TestSchedulerDeterminismGoldenThermalLadder(t *testing.T) {
 		res.Jobs, res.Makespan.Seconds(), res.EnergyJ,
 		throttles, restores, sleeps, res.Temp.PeakC(res.Makespan),
 		sys.Cluster.K.Events(), resumes, sha256.Sum256(trace.Bytes()),
-		len(sys.Ctl.Events), sha256.Sum256(events.Bytes()))
+		*ctlEvents, sha256.Sum256(events.Bytes()))
 	checkGolden(t, "determinism_50j_thermal_summary.txt", []byte(summary))
 	checkGolden(t, "determinism_50j_thermal_accounting.csv", acct.Bytes())
 }

@@ -97,8 +97,8 @@ func runElastic(cfg core.Config, specs []workload.Spec) (*metrics.WorkloadResult
 	s := core.NewSystem(cfg)
 	s.SubmitAll(specs)
 	res := s.Run()
-	boots, decomms := s.Ctl.ElasticStats()
-	return res, boots, decomms
+	st := s.Ctl.Stats()
+	return res, st.Boots, st.Decommissions
 }
 
 // Elastic runs the static-vs-elastic comparison over the given arrival

@@ -55,7 +55,7 @@ var FaultRegimes = []string{"rigid", "rigid+ckpt", "malleable"}
 type FaultRun struct {
 	Regime string
 	Res    *metrics.WorkloadResult
-	Stats  slurm.FaultStats
+	Stats  slurm.Stats
 }
 
 // FaultRow is one MTBF level: the three regimes over the identical
@@ -83,11 +83,11 @@ func faultConfig(mtbf sim.Time, ckptEvery int, seed int64) core.Config {
 }
 
 // runFaults executes one workload and collects the fault counters.
-func runFaults(cfg core.Config, specs []workload.Spec) (*metrics.WorkloadResult, slurm.FaultStats) {
+func runFaults(cfg core.Config, specs []workload.Spec) (*metrics.WorkloadResult, slurm.Stats) {
 	s := core.NewSystem(cfg)
 	s.SubmitAll(specs)
 	res := s.Run()
-	return res, s.Ctl.FaultStats()
+	return res, s.Ctl.Stats()
 }
 
 // Faults runs the MTBF sweep over the three recovery regimes.

@@ -38,7 +38,7 @@ var MigrationPatterns = []string{"diurnal", "bursty"}
 // MigrationRun is one workload execution with or without the pass.
 type MigrationRun struct {
 	Res   *metrics.WorkloadResult
-	Stats slurm.MigrationStats
+	Stats slurm.Stats
 }
 
 // MigrationRow compares one arrival shape: migration off vs on over
@@ -83,7 +83,7 @@ func runMigrationStudy(cfg core.Config, specs []workload.Spec) MigrationRun {
 	s := core.NewSystem(cfg)
 	s.SubmitAll(specs)
 	run := MigrationRun{Res: s.Run()}
-	run.Stats = s.Ctl.MigrationStats()
+	run.Stats = s.Ctl.Stats()
 	return run
 }
 
@@ -131,7 +131,7 @@ func FormatMigration(rows []MigrationRow) string {
 		fmt.Fprintf(&b, "  %-10s %12.0f %8.2f %10.0f %12.0f %8d %8d %10.1f\n",
 			"migrate", r.On.Res.EnergyJ/1e3, r.EnergyGainPct(),
 			r.On.Res.Makespan.Seconds(), r.On.Res.AvgWait.Seconds(),
-			r.On.Stats.Orders, r.On.Stats.Migrations, r.On.Stats.MigratedS)
+			r.On.Stats.MigrationOrders, r.On.Stats.Migrations, r.On.Stats.MigratedS)
 	}
 	return b.String()
 }
@@ -153,7 +153,7 @@ func WriteMigrationSummaryCSV(w io.Writer, rows []MigrationRow) error {
 			r.Pattern, r.Jobs, r.FastNodes, r.SlowNodes,
 			r.On.Res.EnergyJ, r.On.Res.Makespan.Seconds(),
 			r.On.Res.AvgWait.Seconds(), r.On.Res.P95Wait.Seconds(),
-			r.On.Stats.Orders, r.On.Stats.Migrations, r.On.Stats.MigratedS); err != nil {
+			r.On.Stats.MigrationOrders, r.On.Stats.Migrations, r.On.Stats.MigratedS); err != nil {
 			return err
 		}
 	}

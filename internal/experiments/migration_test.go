@@ -54,9 +54,9 @@ func TestMigrationPassPaysForItself(t *testing.T) {
 			t.Errorf("%s: migration pass executed no moves — the study is vacuous", r.Pattern)
 			continue
 		}
-		if r.On.Stats.Migrations > r.On.Stats.Orders {
+		if r.On.Stats.Migrations > r.On.Stats.MigrationOrders {
 			t.Errorf("%s: more migrations (%d) than orders (%d)",
-				r.Pattern, r.On.Stats.Migrations, r.On.Stats.Orders)
+				r.Pattern, r.On.Stats.Migrations, r.On.Stats.MigrationOrders)
 		}
 		if r.EnergyGainPct() > 0 && r.MakespanDeltaPct() <= 2.0 {
 			won = true

@@ -90,9 +90,6 @@ func scaleRun(regime string, pc platform.Config, classAware bool, specs []worklo
 	cfg := energyConfig(false)
 	cfg.Platform = &pc
 	cfg.ClassAware = classAware
-	// Large runs only ever read the aggregate result; cap the retained
-	// event log so memory stays flat as the job count scales.
-	cfg.EventLogCap = 10000
 	sys := core.NewSystem(cfg)
 	sys.SubmitAll(specs)
 	res := sys.Run()

@@ -15,10 +15,9 @@ import (
 // attached, yielding the Chrome trace, the metrics registry and the
 // usual workload result from a single simulation.
 type TelemetryRun struct {
-	Sink           *telemetry.Sink
-	Result         *metrics.WorkloadResult
-	TotalEvents    uint64 // every controller event emitted
-	RetainedEvents int    // events still held in Ctl.Events
+	Sink        *telemetry.Sink
+	Result      *metrics.WorkloadResult
+	TotalEvents uint64 // every controller event emitted
 }
 
 // Telemetry executes the seeded realistic workload (flexible, energy
@@ -34,10 +33,9 @@ func Telemetry(jobs int, seed int64) *TelemetryRun {
 	sys.SubmitAll(specs)
 	res := sys.Run()
 	return &TelemetryRun{
-		Sink:           cfg.Telemetry,
-		Result:         res,
-		TotalEvents:    sys.Ctl.TotalEvents(),
-		RetainedEvents: len(sys.Ctl.Events),
+		Sink:        cfg.Telemetry,
+		Result:      res,
+		TotalEvents: sys.Ctl.TotalEvents(),
 	}
 }
 
@@ -64,8 +62,8 @@ func FormatTelemetry(r *TelemetryRun) string {
 	if wait := reg.LookupHistogram("job_wait_seconds"); wait != nil {
 		fmt.Fprintf(&b, "job waits: n=%d mean=%.1f s\n", wait.Count(), histMean(wait))
 	}
-	fmt.Fprintf(&b, "controller events %d (retained %d)  trace events %d\n",
-		r.TotalEvents, r.RetainedEvents, r.Sink.Trace.Len())
+	fmt.Fprintf(&b, "controller events %d  trace events %d\n",
+		r.TotalEvents, r.Sink.Trace.Len())
 	return b.String()
 }
 

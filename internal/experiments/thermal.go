@@ -79,17 +79,16 @@ func Thermal(jobs int, seed int64) ThermalRow {
 	row := ThermalRow{Jobs: jobs, FastNodes: pc.Classes[0].Count, SlowNodes: pc.Classes[1].Count}
 	regime := func(classAware bool, regimeSpecs []workload.Spec) ThermalRun {
 		run := ThermalRun{}
-		run.Base, _ = thermalRunOn(pc, classAware, false, regimeSpecs)
+		run.Base, _ = thermalRunOn(pc, classAware, false, regimeSpecs, nil)
 		var sys *core.System
-		run.Res, sys = thermalRunOn(pc, classAware, true, regimeSpecs)
-		for _, ev := range sys.Ctl.Events {
+		run.Res, sys = thermalRunOn(pc, classAware, true, regimeSpecs, func(ev slurm.Event) {
 			switch ev.Kind {
 			case slurm.EvThermalThrottle:
 				run.ThrottleEvents++
 			case slurm.EvThermalRestore:
 				run.RestoreEvents++
 			}
-		}
+		})
 		for _, rec := range sys.Ctl.Accounting() {
 			run.ThermalNodeSec += rec.ThermalThrottledSec
 		}
@@ -105,13 +104,16 @@ func Thermal(jobs int, seed int64) ThermalRow {
 }
 
 // thermalRunOn executes one regime on the fleet, with or without
-// envelopes.
-func thermalRunOn(pc platform.Config, classAware, thermal bool, specs []workload.Spec) (*metrics.WorkloadResult, *core.System) {
+// envelopes; onEvent, when non-nil, observes the controller's events.
+func thermalRunOn(pc platform.Config, classAware, thermal bool, specs []workload.Spec, onEvent func(slurm.Event)) (*metrics.WorkloadResult, *core.System) {
 	cfg := energyConfig(false)
 	cfg.Platform = &pc
 	cfg.ClassAware = classAware
 	cfg.Thermal = thermal
 	sys := core.NewSystem(cfg)
+	if onEvent != nil {
+		sys.Ctl.SubscribeEvents(onEvent)
+	}
 	sys.SubmitAll(specs)
 	return sys.Run(), sys
 }
@@ -135,13 +137,14 @@ func LadderSweep(jobs int, seed int64) []LadderRun {
 		cfg := energyConfig(false)
 		mut(&cfg)
 		sys := core.NewSystem(cfg)
-		sys.SubmitAll(specs)
-		out := LadderRun{Name: name, Res: sys.Run()}
-		for _, ev := range sys.Ctl.Events {
+		out := LadderRun{Name: name}
+		sys.Ctl.SubscribeEvents(func(ev slurm.Event) {
 			if ev.Kind == slurm.EvSleep {
 				out.SleepSteps++
 			}
-		}
+		})
+		sys.SubmitAll(specs)
+		out.Res = sys.Run()
 		out.Wakes = sys.Energy.Wakes()
 		return out
 	}

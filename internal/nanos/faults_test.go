@@ -91,7 +91,7 @@ func TestFaultMalleableShrinksToSurvivors(t *testing.T) {
 	if finalSize != 3 {
 		t.Fatalf("finished with %d ranks, want 3 survivors", finalSize)
 	}
-	fs := ctl.FaultStats()
+	fs := ctl.Stats()
 	if fs.Failures != 1 || fs.Shrinks != 1 || fs.Requeues != 0 {
 		t.Fatalf("stats %+v, want one crash recovered by one shrink", fs)
 	}
@@ -126,7 +126,7 @@ func TestFaultMalleableRequeuesBelowMin(t *testing.T) {
 	if j.State != slurm.StateCompleted {
 		t.Fatalf("job state %v", j.State)
 	}
-	fs := ctl.FaultStats()
+	fs := ctl.Stats()
 	if fs.Failures != 1 || fs.Requeues != 1 || fs.Shrinks != 0 {
 		t.Fatalf("stats %+v, want one crash recovered by requeue", fs)
 	}
@@ -174,7 +174,7 @@ func TestFaultRigidResumesFromCheckpoint(t *testing.T) {
 	}
 	// Protected at the iteration-4 checkpoint (~40 s): the crash at 45 s
 	// loses only the few seconds since, not the 45 s from the start.
-	fs := ctl.FaultStats()
+	fs := ctl.Stats()
 	if fs.LostWorkS <= 0 || fs.LostWorkS >= 20 {
 		t.Fatalf("lost work %.1f s, want small (protected by the checkpoint)", fs.LostWorkS)
 	}

@@ -353,14 +353,12 @@ func TestShrinkWaitsForAllAcks(t *testing.T) {
 
 	//simcheck:allow simtime -1 is a "not yet observed" sentinel, not a duration
 	shrinkAt := sim.Time(-1)
-	for e.cl.K.Idle() == false {
-		e.cl.K.RunUntil(e.cl.K.Now() + sim.Second)
-		for _, ev := range e.ctl.Events {
-			if ev.Kind == slurm.EvShrink && shrinkAt < 0 {
-				shrinkAt = ev.T
-			}
+	e.ctl.SubscribeEvents(func(ev slurm.Event) {
+		if ev.Kind == slurm.EvShrink && shrinkAt < 0 {
+			shrinkAt = ev.T
 		}
-	}
+	})
+	e.cl.K.Run()
 	if shrinkAt < 0 {
 		t.Fatal("no shrink happened")
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Config tunes the controller.
@@ -53,16 +52,6 @@ type Config struct {
 	// constraints and soft PrefClass affinities on jobs are honored
 	// regardless of this switch.
 	ClassAware bool
-	// Telemetry, when non-nil, attaches the deterministic telemetry sink:
-	// sim-time trace spans, the metrics registry, and the wall-clock
-	// profiling registry. Nil (the default) compiles every hook down to
-	// one pointer check.
-	Telemetry *telemetry.Sink
-	// EventLogCap bounds the retained Events slice: when positive, only
-	// (at least) the last EventLogCap events are kept. Subscribers
-	// registered with SubscribeEvents still observe every event, and
-	// TotalEvents counts them all. 0 retains everything.
-	EventLogCap int
 	// Elastic, when non-nil, attaches the elastic capacity controller:
 	// a periodic adapt loop provisions and decommissions nodes against
 	// the configured Min/Max envelope, powered-off nodes pay a full boot
@@ -160,16 +149,14 @@ type Controller struct {
 	// collect-and-sort over every running job into an ordered walk.
 	endOrder []jobRelease
 
-	// Events is the retained trace of everything the controller did.
-	// Append-only unless Config.EventLogCap bounds retention; subscribers
-	// see every event regardless.
-	Events []Event
-
+	stats       Stats
 	eventsTotal uint64
 	eventSubs   []func(Event)
 	sampleSubs  []SampleFunc
 
-	tel *telState // telemetry hooks; nil unless Config.Telemetry is set
+	// built holds the events NewController itself emitted (the elastic
+	// fleet's initial power-offs), replayed to every subscriber.
+	built []Event
 }
 
 // SampleFunc observes one allocation snapshot.
@@ -272,9 +259,7 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 	if cfg.Energy != nil {
 		cfg.Energy.OnThermal = ctl.onThermal
 	}
-	if cfg.Telemetry != nil {
-		ctl.tel = newTelState(ctl, cfg.Telemetry)
-	}
+	ctl.eventSubs = []func(Event){func(ev Event) { ctl.built = append(ctl.built, ev) }}
 	if cfg.Elastic != nil {
 		ctl.initElastic(*cfg.Elastic)
 	}
@@ -289,11 +274,22 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 	for _, n := range c.Nodes {
 		ctl.armSleep(n)
 	}
+	ctl.eventSubs = nil
 	return ctl
 }
 
 // Energy returns the attached accountant (nil when accounting is off).
 func (c *Controller) Energy() *energy.Accountant { return c.cfg.Energy }
+
+// Config returns the configuration the controller was built with.
+func (c *Controller) Config() Config { return c.cfg }
+
+// Stats returns a snapshot of the controller's running tallies.
+func (c *Controller) Stats() Stats {
+	s := c.stats
+	s.FreePoolOps = c.pool.ops
+	return s
+}
 
 // SubscribeSamples registers fn to observe every allocation snapshot.
 // Subscribers are invoked in registration order; registering never
@@ -301,28 +297,27 @@ func (c *Controller) Energy() *energy.Accountant { return c.cfg.Energy }
 func (c *Controller) SubscribeSamples(fn SampleFunc) { c.sampleSubs = append(c.sampleSubs, fn) }
 
 // SubscribeEvents registers fn to observe every controller event as it
-// is emitted — a streaming alternative to reading Events after the run,
-// and the only complete record when Config.EventLogCap trims retention.
-func (c *Controller) SubscribeEvents(fn func(Event)) { c.eventSubs = append(c.eventSubs, fn) }
+// is emitted. The controller keeps no log: a caller that wants one
+// subscribes before the run. fn first receives the events NewController
+// emitted (the elastic fleet's initial power-offs), then every later
+// event in order.
+func (c *Controller) SubscribeEvents(fn func(Event)) {
+	for _, ev := range c.built {
+		fn(ev)
+	}
+	c.eventSubs = append(c.eventSubs, fn)
+}
 
-// TotalEvents counts every event ever emitted, including any trimmed
-// out of Events by Config.EventLogCap.
+// TotalEvents counts every lifecycle event emitted (probes excluded).
 func (c *Controller) TotalEvents() uint64 { return c.eventsTotal }
 
-// emit fans one event out to subscribers and appends it to the retained
-// log. With a cap configured, the slice is trimmed back to the last
-// EventLogCap entries whenever it doubles — amortized O(1) per event.
+// emit fans one event out to the subscribers.
 func (c *Controller) emit(ev Event) {
-	c.eventsTotal++
-	if c.tel != nil {
-		c.tel.eventsEmitted.Inc()
+	if !ev.Kind.Probe() {
+		c.eventsTotal++
 	}
 	for _, fn := range c.eventSubs {
 		fn(ev)
-	}
-	c.Events = append(c.Events, ev)
-	if limit := c.cfg.EventLogCap; limit > 0 && len(c.Events) > 2*limit {
-		c.Events = append(c.Events[:0], c.Events[len(c.Events)-limit:]...)
 	}
 }
 
@@ -335,10 +330,12 @@ func (c *Controller) ReconfigRPC(p *sim.Proc, j *Job, req ResizeRequest) Decisio
 	p.Sleep(c.cfg.RPCService)
 	dec := c.Reconfig(j, req)
 	c.rpcSlot.Release()
-	if c.tel != nil {
-		c.tel.sink.Trace.Span(tracePidSched, traceTidDMR, "dmr",
-			fmt.Sprintf("j%d %s", j.ID, dec.Action), start, c.k.Now())
+	ev := Event{T: c.k.Now(), Kind: EvDecide, JobID: j.ID, Info: dec.Action.String(), Start: start}
+	if c.cfg.Policy != nil {
+		// Reconfig consulted the policy iff the job still runs.
+		ev.Nodes = len(j.alloc)
 	}
+	c.emit(ev)
 	return dec
 }
 
@@ -412,10 +409,7 @@ func (c *Controller) Submit(j *Job) *Job {
 	}
 	c.jobs[j.ID] = j
 	c.insertPending(j)
-	c.log(EvSubmit, j, fmt.Sprintf("req=%d", j.ReqNodes))
-	if c.tel != nil {
-		c.telSubmit(j)
-	}
+	c.log(EvSubmit, j, nil, fmt.Sprintf("req=%d", j.ReqNodes))
 	c.armAdapt()
 	c.armMigrate()
 	c.kick()
@@ -432,10 +426,7 @@ func (c *Controller) Cancel(j *Job) error {
 	c.removePending(j)
 	j.State = StateCancelled
 	j.EndTime = c.k.Now()
-	c.log(EvCancel, j, "")
-	if c.tel != nil && !j.Resizer {
-		c.tel.jobSpan(c.k.Now(), j.ID, "")
-	}
+	c.log(EvCancel, j, nil, "")
 	if j.OnEnd != nil {
 		j.OnEnd(j)
 	}
@@ -467,10 +458,7 @@ func (c *Controller) JobComplete(j *Job) {
 	j.State = StateCompleted
 	j.EndTime = c.k.Now()
 	c.completed++
-	c.log(EvEnd, j, "")
-	if c.tel != nil {
-		c.telComplete(j)
-	}
+	c.log(EvEnd, j, nodes, "")
 	if j.OnEnd != nil {
 		j.OnEnd(j)
 	}
@@ -598,15 +586,11 @@ func (c *Controller) pickNodes(j *Job, n int) []*platform.Node {
 	}
 	for i, cached := range e.ns {
 		if cached == n {
-			if c.tel != nil {
-				c.tel.pickHits.Inc()
-			}
+			c.stats.PickHits++
 			return e.sets[i]
 		}
 	}
-	if c.tel != nil {
-		c.tel.pickMisses.Inc()
-	}
+	c.stats.PickMisses++
 	nodes := c.pickNodesUncached(j, n, sig)
 	e.ns = append(e.ns, n)
 	e.sets = append(e.sets, nodes)
@@ -705,13 +689,6 @@ func (c *Controller) allocateNodes(j *Job, n int) []*platform.Node {
 		c.pool.remove(nd.Index)
 		c.owner[nd.Index] = j.ID
 	}
-	if c.tel != nil {
-		now := c.k.Now()
-		label := jobNodeLabel(j)
-		for _, nd := range nodes {
-			c.tel.nodeSpan(now, nd.Index, label)
-		}
-	}
 	return nodes
 }
 
@@ -719,12 +696,6 @@ func (c *Controller) allocateNodes(j *Job, n int) []*platform.Node {
 // allocated complete their drain here. The freed draw is headroom under
 // a power cap: throttled jobs step back first.
 func (c *Controller) releaseNodes(nodes []*platform.Node) {
-	if c.tel != nil {
-		now := c.k.Now()
-		for _, nd := range nodes {
-			c.tel.nodeSpan(now, nd.Index, "")
-		}
-	}
 	c.powerRelease(nodes)
 	c.pool.bump() // the releasing job's allocation changed even if every node drains
 	now := c.k.Now()
@@ -793,9 +764,6 @@ func (c *Controller) powerAllocate(j *Job, nodes []*platform.Node, ps int) sim.T
 		}
 		if w > 0 {
 			c.logNode(EvWake, n, chargeTo)
-			if c.tel != nil {
-				c.tel.wakes.Inc()
-			}
 			if w > wake {
 				wake = w
 			}
@@ -864,9 +832,6 @@ func (c *Controller) bootDone(n *platform.Node, until sim.Time) {
 	c.cfg.Energy.FinishBoot(i)
 	c.pool.markAwake(i)
 	c.logNode(EvOnline, n, 0)
-	if c.tel != nil && !c.drained[i] {
-		c.tel.nodeSpan(c.k.Now(), i, "")
-	}
 	c.armSleep(n)
 	if c.elastic != nil {
 		c.elasticBootLanded(n)
@@ -916,9 +881,6 @@ func (c *Controller) armRung(n *platform.Node, gen, rung int) {
 			// node to its class's sleeping half.
 			c.pool.markAsleep(n.Index)
 			c.logNode(EvSleep, n, 0)
-			if c.tel != nil {
-				c.telSleep(n, a.SStateOf(n.Index))
-			}
 			if c.capped() {
 				// The idle draw just dropped: headroom for throttled
 				// jobs, and possibly enough watts to admit a cap-blocked
@@ -941,7 +903,7 @@ func (c *Controller) armRung(n *platform.Node, gen, rung int) {
 func (c *Controller) onThermal(node int, throttled bool, floor int) {
 	n := c.cluster.Nodes[node]
 	owner := c.owner[node]
-	ev := Event{T: c.k.Now(), Kind: EvThermalRestore, Nodes: 1, Info: n.Name}
+	ev := Event{T: c.k.Now(), Kind: EvThermalRestore, Nodes: 1, Info: n.Name, Set: c.cluster.Nodes[node : node+1]}
 	if throttled {
 		ev.Kind = EvThermalThrottle
 		ev.Info = fmt.Sprintf("%s p%d", n.Name, floor)
@@ -950,9 +912,6 @@ func (c *Controller) onThermal(node int, throttled bool, floor int) {
 		ev.JobID = owner
 	}
 	c.emit(ev)
-	if c.tel != nil {
-		c.telThermal(node, owner, throttled, floor)
-	}
 	if owner > 0 {
 		if j := c.running[owner]; j != nil {
 			j.invalidateSpeed()
@@ -993,13 +952,16 @@ func (c *Controller) removePending(j *Job) {
 // slowest wake transition — the nodes draw active power while booting
 // but the application only starts once all of them are up.
 func (c *Controller) startJob(j *Job, n int) {
-	j.alloc = c.allocateNodes(j, n)
+	picked := c.allocateNodes(j, n)
+	j.alloc = picked
 	j.invalidateSpeed()
 	if c.cfg.ClassAware {
 		// Keep the stored allocation fast-first (stable by index) so a
 		// later tail shrink releases the slowest nodes first and lifts
 		// the coupled step loop's pace — the same invariant GrowJob
-		// maintains. Safe before launch: no rank mapping exists yet.
+		// maintains. Safe before launch: no rank mapping exists yet. The
+		// START event reports the nodes in pick order.
+		j.alloc = append(make([]*platform.Node, 0, n), picked...)
 		sort.SliceStable(j.alloc, func(a, b int) bool {
 			return j.alloc[a].Speed() > j.alloc[b].Speed()
 		})
@@ -1022,15 +984,12 @@ func (c *Controller) startJob(j *Job, n int) {
 	c.removePending(j)
 	c.running[j.ID] = j
 	c.insertEndOrder(j)
-	c.log(EvStart, j, fmt.Sprintf("nodes=%d", n))
+	c.log(EvStart, j, picked, fmt.Sprintf("nodes=%d", n))
 	if j.pstate > 0 {
 		// Admitted below P0 by the power-cap governor: the throttle
 		// episode starts with the job.
 		j.throttledAt = j.StartTime
-		c.log(EvThrottle, j, fmt.Sprintf("p%d (cap admission)", j.pstate))
-	}
-	if c.tel != nil {
-		c.telStart(j)
+		c.log(EvThrottle, j, j.alloc, fmt.Sprintf("p%d (cap admission)", j.pstate))
 	}
 	c.sample()
 	if j.Resizer {
@@ -1077,23 +1036,16 @@ func (c *Controller) kick() {
 	})
 }
 
-// sample pushes an allocation snapshot to every subscriber and the
-// telemetry sink.
+// sample pushes an allocation snapshot to every subscriber.
 func (c *Controller) sample() {
-	if len(c.sampleSubs) == 0 && c.tel == nil {
-		return
-	}
 	t := c.k.Now()
 	alloc := c.AllocatedNodes()
 	for _, fn := range c.sampleSubs {
 		fn(t, alloc, len(c.running), c.completed, len(c.pending))
 	}
-	if c.tel != nil {
-		c.telSample(t, alloc)
-	}
 }
 
-// logNode emits a node power-state event (sleep/wake).
+// logNode emits a node event; Set is the node itself.
 func (c *Controller) logNode(kind EventKind, n *platform.Node, jobID int) {
 	c.emit(Event{
 		T:     c.k.Now(),
@@ -1101,16 +1053,23 @@ func (c *Controller) logNode(kind EventKind, n *platform.Node, jobID int) {
 		JobID: jobID,
 		Nodes: 1,
 		Info:  n.Name,
+		Set:   c.cluster.Nodes[n.Index : n.Index+1],
 	})
 }
 
-// log emits a controller event.
-func (c *Controller) log(kind EventKind, j *Job, detail string) {
-	c.emit(Event{
+// jobEvent builds an event about job j that moved the nodes in set.
+func (c *Controller) jobEvent(kind EventKind, j *Job, set []*platform.Node, detail string) Event {
+	return Event{
 		T:     c.k.Now(),
 		Kind:  kind,
 		JobID: j.ID,
 		Nodes: len(j.alloc),
 		Info:  detail,
-	})
+		Set:   set,
+	}
+}
+
+// log emits an event about job j.
+func (c *Controller) log(kind EventKind, j *Job, set []*platform.Node, detail string) {
+	c.emit(c.jobEvent(kind, j, set, detail))
 }

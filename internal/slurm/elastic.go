@@ -57,8 +57,6 @@ type elasticState struct {
 	offline  []bool // powered off by decommission, by node index
 	offlineN int
 	armed    bool // an adapt tick is scheduled
-	boots    int  // lifetime boots initiated (provision + wake-ahead)
-	decomms  int  // lifetime decommissions
 
 	// recent is a ring of the demand figure from the last
 	// HoldDown/Interval adapt ticks; its max is the scale-down floor.
@@ -110,7 +108,6 @@ func (c *Controller) initElastic(cfg ElasticConfig) {
 	for i := n - 1; i >= 0 && n-c.elastic.offlineN > cfg.Min; i-- {
 		c.decommissionNode(c.cluster.Nodes[i])
 	}
-	c.elasticGauge()
 }
 
 // isOffline reports whether node i is powered off by decommission.
@@ -125,22 +122,6 @@ func (c *Controller) FleetNodes() int {
 		return len(c.cluster.Nodes)
 	}
 	return len(c.cluster.Nodes) - c.elastic.offlineN
-}
-
-// ElasticStats returns lifetime boot and decommission counts (both zero
-// on a fixed fleet).
-func (c *Controller) ElasticStats() (boots, decommissions int) {
-	if c.elastic == nil {
-		return 0, 0
-	}
-	return c.elastic.boots, c.elastic.decomms
-}
-
-// elasticGauge publishes the fleet size.
-func (c *Controller) elasticGauge() {
-	if c.tel != nil && c.tel.fleetNodes != nil {
-		c.tel.fleetNodes.Set(float64(c.FleetNodes()))
-	}
 }
 
 // armAdapt schedules the next adapt tick unless one is already pending
@@ -239,7 +220,6 @@ func (c *Controller) elasticScaleUp(deficit int) {
 		booted++
 	}
 	if booted > 0 {
-		c.elasticGauge()
 		c.kick()
 	}
 }
@@ -263,14 +243,8 @@ func (c *Controller) provisionNode(n *platform.Node) {
 	}
 	c.pool.addBooting(i)
 	c.scheduleBootDone(n)
-	e.boots++
+	c.stats.Boots++
 	c.logNode(EvBoot, n, 0)
-	if c.tel != nil {
-		if c.tel.boots != nil {
-			c.tel.boots.Inc()
-		}
-		c.tel.nodeSpan(c.k.Now(), i, "boot")
-	}
 }
 
 // elasticScaleDown powers off up to surplus free nodes. While an idle
@@ -307,11 +281,8 @@ func (c *Controller) elasticScaleDown(surplus int) {
 		c.decommissionNode(c.cluster.Nodes[cd.idx])
 		killed++
 	}
-	if killed > 0 {
-		c.elasticGauge()
-		if c.capped() {
-			c.capRestore()
-		}
+	if killed > 0 && c.capped() {
+		c.capRestore()
 	}
 }
 
@@ -327,14 +298,8 @@ func (c *Controller) decommissionNode(n *platform.Node) {
 	e.offline[i] = true
 	e.offlineN++
 	c.cfg.Energy.NodeOff(i)
-	e.decomms++
+	c.stats.Decommissions++
 	c.logNode(EvOffline, n, 0)
-	if c.tel != nil {
-		if c.tel.decommissions != nil {
-			c.tel.decommissions.Inc()
-		}
-		c.tel.nodeSpan(c.k.Now(), i, "off")
-	}
 }
 
 // elasticBootLanded runs when a provisioned or pre-booted node finishes
@@ -401,12 +366,6 @@ func (c *Controller) preBoot(n *platform.Node, gen int) {
 	c.bootUntil[i] = c.k.Now() + w
 	c.pool.markBooting(i)
 	c.scheduleBootDone(n)
-	c.elastic.boots++
+	c.stats.Boots++
 	c.logNode(EvBoot, n, 0)
-	if c.tel != nil {
-		if c.tel.boots != nil {
-			c.tel.boots.Inc()
-		}
-		c.tel.nodeSpan(c.k.Now(), i, "boot")
-	}
 }

@@ -42,8 +42,7 @@ func TestElasticMinZeroRebootsOnFirstArrival(t *testing.T) {
 	if got := j.ExecTime(); got < 10*sim.Second+boot-sim.Second || got > 10*sim.Second+boot {
 		t.Fatalf("exec time %v, want ≈10s + the %v cold boot", got, boot)
 	}
-	boots, _ := c.ElasticStats()
-	if boots != 1 {
+	if boots := c.Stats().Boots; boots != 1 {
 		t.Fatalf("%d boots, want 1", boots)
 	}
 }
@@ -57,11 +56,11 @@ func TestElasticBootBurstLimiter(t *testing.T) {
 		cl, c := elasticController(8, ElasticConfig{Min: 0, BootBurst: 3, Interval: interval}, nil)
 		c.Submit(sleeperJob(c, "wide", 5, 10*sim.Second))
 		cl.K.RunUntil(interval + sim.Second)
-		if boots, _ := c.ElasticStats(); boots != 3 {
+		if boots := c.Stats().Boots; boots != 3 {
 			t.Fatalf("%d boots after one tick, want the burst cap 3", boots)
 		}
 		cl.K.RunUntil(2*interval + sim.Second)
-		if boots, _ := c.ElasticStats(); boots != 5 {
+		if boots := c.Stats().Boots; boots != 5 {
 			t.Fatalf("%d boots after two ticks, want 5", boots)
 		}
 	})
@@ -69,7 +68,7 @@ func TestElasticBootBurstLimiter(t *testing.T) {
 		cl, c := elasticController(8, ElasticConfig{Min: 0, BootBurst: 3, Interval: interval}, nil)
 		c.Submit(sleeperJob(c, "fit", 3, 10*sim.Second))
 		cl.K.RunUntil(4*interval + sim.Second)
-		if boots, _ := c.ElasticStats(); boots != 3 {
+		if boots := c.Stats().Boots; boots != 3 {
 			t.Fatalf("%d boots, want exactly 3 (one full-burst tick, no echo)", boots)
 		}
 	})
@@ -96,7 +95,7 @@ func TestElasticProvisionRacesCompletion(t *testing.T) {
 	if got := b.ExecTime(); got != 10*sim.Second {
 		t.Fatalf("b exec time %v, want 10s on the freed awake nodes", got)
 	}
-	if boots, _ := c.ElasticStats(); boots != 2 {
+	if boots := c.Stats().Boots; boots != 2 {
 		t.Fatalf("%d boots, want 2: the tick after the completion must not re-provision", boots)
 	}
 }

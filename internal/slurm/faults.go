@@ -56,15 +56,6 @@ type FaultModel interface {
 // is marked unhealthy and sent to repair instead of retried.
 const maxStrikes = 3
 
-// FaultStats aggregates a run's fault and recovery activity.
-type FaultStats struct {
-	Failures  int     // node crashes injected
-	Requeues  int     // rigid-path recoveries (restart from scratch or checkpoint)
-	Shrinks   int     // malleable shrink-to-survive recoveries
-	BootFails int     // elastic provision boots that failed
-	LostWorkS float64 // total work lost to failures, in node-set seconds
-}
-
 // faultState is the controller-side fault machinery.
 type faultState struct {
 	model FaultModel
@@ -86,8 +77,6 @@ type faultState struct {
 	strikes       []int
 	retryAt       []sim.Time
 	unhealthy     []bool
-
-	stats FaultStats
 }
 
 // initFaults arms the per-node crash chains. Called from NewController
@@ -115,13 +104,10 @@ func (c *Controller) nodeFailed(i int) bool {
 	return c.faults != nil && c.faults.failed[i]
 }
 
-// FaultStats returns the run's fault and recovery counters (zero without
-// a fault model).
-func (c *Controller) FaultStats() FaultStats {
-	if c.faults == nil {
-		return FaultStats{}
-	}
-	return c.faults.stats
+// NodeUnhealthy reports whether node i struck out on provision boots
+// and waits for repair outside the elastic rotation.
+func (c *Controller) NodeUnhealthy(i int) bool {
+	return c.faults != nil && c.faults.unhealthy[i]
 }
 
 // armCrash draws and schedules node i's next crash. The chain is
@@ -172,13 +158,9 @@ func (c *Controller) crashNode(i int) {
 		c.drainedUnheld--
 		f.failedOut++
 	}
-	f.stats.Failures++
+	c.stats.Failures++
 	c.cfg.Energy.NodeFail(i)
 	c.logNode(EvFail, n, c.ownerJobID(i))
-	if c.tel != nil {
-		c.tel.failures.Inc()
-		c.tel.nodeSpan(c.k.Now(), i, "failed")
-	}
 	if own := c.owner[i]; own > 0 {
 		if j := c.running[own]; j != nil {
 			j.invalidateSpeed()
@@ -249,14 +231,8 @@ func (c *Controller) finishRepair(i int) {
 	if c.drained[i] {
 		// Repaired but held out of service: back to the drain books.
 		c.drainedUnheld++
-		if c.tel != nil {
-			c.tel.nodeSpan(c.k.Now(), i, "drained")
-		}
 	} else {
 		c.pool.add(i)
-		if c.tel != nil {
-			c.tel.nodeSpan(c.k.Now(), i, "")
-		}
 		c.armSleep(n)
 		c.kick()
 	}
@@ -278,8 +254,8 @@ func (c *Controller) requeueFailed(j *Job) {
 	j.Requeues++
 	j.Incarnation++
 	j.LostWorkS += lost
-	c.faults.stats.Requeues++
-	c.faults.stats.LostWorkS += lost
+	c.stats.Requeues++
+	c.stats.LostWorkS += lost
 	c.dropMigrationOrder(j)
 	j.accumulateNodeSeconds(now)
 	c.settleThrottle(j)
@@ -292,14 +268,9 @@ func (c *Controller) requeueFailed(j *Job) {
 	c.releaseNodes(nodes)
 	j.State = StatePending
 	c.insertPending(j)
-	c.log(EvRequeue, j, fmt.Sprintf("lost=%.0fs requeues=%d", lost, j.Requeues))
-	if c.tel != nil {
-		c.tel.requeues.Inc()
-		c.tel.lostWork.Observe(lost)
-		if !j.Resizer {
-			c.tel.jobSpan(now, j.ID, "pend")
-		}
-	}
+	ev := c.jobEvent(EvRequeue, j, nodes, fmt.Sprintf("lost=%.0fs requeues=%d", lost, j.Requeues))
+	ev.Value = lost
+	c.emit(ev)
 	c.sample()
 	c.armAdapt()
 	c.kick()
@@ -350,11 +321,8 @@ func (c *Controller) CollectFailed(j *Job) []*platform.Node {
 	c.repositionEndOrder(j)
 	c.pool.bump() // the job's anchor class may have changed
 	j.ResizeCount++
-	f.stats.Shrinks++
-	c.log(EvShrink, j, fmt.Sprintf("nodes=%d failed=%d", len(j.alloc), dead))
-	if c.tel != nil {
-		c.telResize(j)
-	}
+	c.stats.Shrinks++
+	c.log(EvShrink, j, nil, fmt.Sprintf("nodes=%d failed=%d", len(j.alloc), dead))
 	c.sample()
 	c.armAdapt()
 	c.kick()
@@ -368,10 +336,8 @@ func (c *Controller) NoteLostWork(j *Job, lost float64) {
 		return
 	}
 	j.LostWorkS += lost
-	c.faults.stats.LostWorkS += lost
-	if c.tel != nil {
-		c.tel.lostWork.Observe(lost)
-	}
+	c.stats.LostWorkS += lost
+	c.emit(Event{T: c.k.Now(), Kind: EvLostWork, JobID: j.ID, Nodes: len(j.alloc), Value: lost})
 }
 
 // MarkProtected records a completed checkpoint: a later failure only
@@ -395,24 +361,16 @@ func (c *Controller) bootFailed(n *platform.Node) {
 	e.offline[i] = true
 	e.offlineN++
 	f.strikes[i]++
-	f.stats.BootFails++
-	c.logNode(EvBootFail, n, 0)
-	c.elasticGauge()
+	c.stats.BootFails++
 	if f.strikes[i] >= maxStrikes {
 		// Unhealthy: out of the provision rotation until repaired.
 		f.unhealthy[i] = true
 		f.repairPending[i] = true
 		c.k.After(f.model.RepairTime(), func() { c.repairDone(i) })
-		if c.tel != nil {
-			c.tel.nodeSpan(c.k.Now(), i, "unhealthy")
-		}
 	} else {
 		f.retryAt[i] = c.k.Now() + f.model.BootRetry(f.strikes[i])
-		if c.tel != nil {
-			c.tel.bootRetries.Inc()
-			c.tel.nodeSpan(c.k.Now(), i, "off")
-		}
 	}
+	c.logNode(EvBootFail, n, 0)
 	c.armAdapt()
 }
 

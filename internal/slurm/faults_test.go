@@ -107,7 +107,7 @@ func TestFaultCrashIdleNodeRepairsAndRepools(t *testing.T) {
 	if j.State != StateCompleted {
 		t.Fatalf("job state %v", j.State)
 	}
-	fs := c.FaultStats()
+	fs := c.Stats()
 	if fs.Failures != 1 || fs.Requeues != 0 || fs.LostWorkS != 0 {
 		t.Fatalf("stats %+v", fs)
 	}
@@ -138,7 +138,7 @@ func TestFaultCrashRequeuesRigidJob(t *testing.T) {
 	if end := j.EndTime; end < 45*sim.Second {
 		t.Fatalf("end %v, want ≥ 45 s (repair + full rerun)", end)
 	}
-	fs := c.FaultStats()
+	fs := c.Stats()
 	if fs.Failures != 1 || fs.Requeues != 1 {
 		t.Fatalf("stats %+v", fs)
 	}
@@ -249,7 +249,7 @@ func TestFaultCrashSleepingNodeVoidsLadder(t *testing.T) {
 	if j.State != StateCompleted {
 		t.Fatalf("job state %v", j.State)
 	}
-	if fs := c.FaultStats(); fs.Failures != 1 {
+	if fs := c.Stats(); fs.Failures != 1 {
 		t.Fatalf("stats %+v", fs)
 	}
 }
@@ -267,7 +267,7 @@ func TestFaultCrashOfflineNodeRearms(t *testing.T) {
 		cfg.Elastic = &ElasticConfig{Min: 1, Interval: 10 * sim.Second}
 	})
 	cl.K.Run()
-	if fs := c.FaultStats(); fs.Failures != 0 {
+	if fs := c.Stats(); fs.Failures != 0 {
 		t.Fatalf("offline crash counted: %+v", fs)
 	}
 	if fm.i != 3 {
@@ -343,7 +343,7 @@ func TestFaultBootFailureStrikesToUnhealthy(t *testing.T) {
 	if long.State != StateCompleted || wide.State != StateCompleted {
 		t.Fatalf("job states %v / %v", long.State, wide.State)
 	}
-	fs := c.FaultStats()
+	fs := c.Stats()
 	if fs.BootFails != maxStrikes {
 		t.Fatalf("boot failures %d, want %d", fs.BootFails, maxStrikes)
 	}

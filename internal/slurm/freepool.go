@@ -59,7 +59,7 @@ type freePool struct {
 	byNode  []*classPool // node index -> its class pool
 	total   int
 	version uint64
-	ops     uint64 // membership mutations (telemetry: free-pool churn)
+	ops     int // membership mutations (Stats.FreePoolOps)
 }
 
 // newFreePool builds the pool with every node free and awake (nodes

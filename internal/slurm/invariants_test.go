@@ -446,9 +446,9 @@ func runInvariantFuzz(t *testing.T, ic invConfig, seed int64) {
 	// order, no order survives the drained run, and the per-job columns
 	// sum to the cluster stats.
 	if ic.migration {
-		ms := c.MigrationStats()
-		if ms.Migrations > ms.Orders {
-			t.Fatalf("migration stats: %d migrations from %d orders", ms.Migrations, ms.Orders)
+		ms := c.Stats()
+		if ms.Migrations > ms.MigrationOrders {
+			t.Fatalf("migration stats: %d migrations from %d orders", ms.Migrations, ms.MigrationOrders)
 		}
 		if n := len(c.migration.orders); n != 0 {
 			t.Fatalf("%d migration orders left pending after drain", n)
@@ -460,7 +460,7 @@ func runInvariantFuzz(t *testing.T, ic invConfig, seed int64) {
 		if sum != ms.Migrations {
 			t.Fatalf("accounting shows %d migrations, stats %d", sum, ms.Migrations)
 		}
-		t.Logf("migration fuzz: %d orders, %d executed, %.1f s charged", ms.Orders, ms.Migrations, ms.MigratedS)
+		t.Logf("migration fuzz: %d orders, %d executed, %.1f s charged", ms.MigrationOrders, ms.Migrations, ms.MigratedS)
 	}
 }
 

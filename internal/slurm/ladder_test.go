@@ -184,18 +184,21 @@ func TestThermalThrottleAccountedToJob(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	c := NewController(cl, cfg)
+	var throttled []int
+	c.SubscribeEvents(func(ev Event) {
+		if ev.Kind == EvThermalThrottle {
+			throttled = append(throttled, ev.JobID)
+		}
+	})
 	j := c.Submit(sleeperJob(c, "hot", 2, 1000*sim.Second))
 	cl.K.Run()
 	if j.State != StateCompleted {
 		t.Fatalf("job state %v", j.State)
 	}
-	throttles := 0
-	for _, ev := range c.Events {
-		if ev.Kind == EvThermalThrottle {
-			if ev.JobID != j.ID {
-				t.Fatalf("throttle attributed to job %d, want %d", ev.JobID, j.ID)
-			}
-			throttles++
+	throttles := len(throttled)
+	for _, id := range throttled {
+		if id != j.ID {
+			t.Fatalf("throttle attributed to job %d, want %d", id, j.ID)
 		}
 	}
 	// Both nodes heat identically: two throttle events at ≈377.5 s.

@@ -50,13 +50,6 @@ type migrationOrder struct {
 	bytes  int64
 }
 
-// MigrationStats aggregates a run's migration activity.
-type MigrationStats struct {
-	Orders     int     // decision passes that placed an order
-	Migrations int     // orders actually executed (checkpoint + requeue)
-	MigratedS  float64 // total modeled C/R cost charged, in seconds
-}
-
 // migrationState is the controller-side migration machinery.
 type migrationState struct {
 	cfg    MigrationConfig
@@ -64,7 +57,6 @@ type migrationState struct {
 	picker MigrationPicker
 	armed  bool
 	orders map[int]*migrationOrder // keyed access only (determinism)
-	stats  MigrationStats
 }
 
 // MigrationDecision is one move the policy wants made.
@@ -94,15 +86,6 @@ func (c *Controller) initMigration() {
 		picker: c.cfg.Policy.(MigrationPicker), // Validate checked it
 		orders: make(map[int]*migrationOrder),
 	}
-}
-
-// MigrationStats returns the run's migration counters (zero when live
-// migration is not configured).
-func (c *Controller) MigrationStats() MigrationStats {
-	if c.migration == nil {
-		return MigrationStats{}
-	}
-	return c.migration.stats
 }
 
 // SetStateBytes registers a job's checkpointable state footprint — the
@@ -165,11 +148,8 @@ func (c *Controller) orderMigration(d MigrationDecision) {
 	m := c.migration
 	j := d.Job
 	m.orders[j.ID] = &migrationOrder{class: d.Class, reason: d.Reason, cost: d.Cost, bytes: j.stateBytes}
-	m.stats.Orders++
-	c.log(EvMigrateOrder, j, fmt.Sprintf("to=%s reason=%s cost=%.1fs", d.Class, d.Reason, d.Cost.Seconds()))
-	if c.tel != nil {
-		c.tel.migrateOrders.Inc()
-	}
+	c.stats.MigrationOrders++
+	c.log(EvMigrateOrder, j, nil, fmt.Sprintf("to=%s reason=%s cost=%.1fs", d.Class, d.Reason, d.Cost.Seconds()))
 }
 
 // MigrateRequeue executes a pending order: the runtime has written the
@@ -193,8 +173,8 @@ func (c *Controller) MigrateRequeue(j *Job) {
 	j.Incarnation++
 	j.Migrations++
 	j.MigratedS += ord.cost.Seconds()
-	m.stats.Migrations++
-	m.stats.MigratedS += ord.cost.Seconds()
+	c.stats.Migrations++
+	c.stats.MigratedS += ord.cost.Seconds()
 	j.accumulateNodeSeconds(now)
 	c.settleThrottle(j)
 	nodes := j.alloc
@@ -211,12 +191,9 @@ func (c *Controller) MigrateRequeue(j *Job) {
 	j.migrateTo = ord.class
 	j.State = StatePending
 	c.insertPending(j)
-	c.log(EvMigrate, j, fmt.Sprintf("to=%s reason=%s cost=%.1fs", ord.class, ord.reason, ord.cost.Seconds()))
-	if c.tel != nil {
-		c.tel.migrations.Inc()
-		c.tel.migrateCost.Observe(ord.cost.Seconds())
-		c.tel.jobSpan(now, j.ID, "pend")
-	}
+	ev := c.jobEvent(EvMigrate, j, nodes, fmt.Sprintf("to=%s reason=%s cost=%.1fs", ord.class, ord.reason, ord.cost.Seconds()))
+	ev.Value = ord.cost.Seconds()
+	c.emit(ev)
 	c.sample()
 	c.armAdapt()
 	c.armMigrate()

@@ -183,8 +183,8 @@ func TestMigrateOrderExecutesAndRestarts(t *testing.T) {
 	if c.MigrationOrdered(j) {
 		t.Fatal("order still pending after the move")
 	}
-	stats := c.MigrationStats()
-	if stats.Orders != 1 || stats.Migrations != 1 {
+	stats := c.Stats()
+	if stats.MigrationOrders != 1 || stats.Migrations != 1 {
 		t.Fatalf("stats %+v, want exactly one order and one migration", stats)
 	}
 	if stats.MigratedS <= 0 || math.IsNaN(stats.MigratedS) {
@@ -231,7 +231,7 @@ func TestMigrateRequeueIgnoresUnordered(t *testing.T) {
 	if j.Incarnation != 0 {
 		t.Fatalf("incarnation %d, want 0 (no move happened)", j.Incarnation)
 	}
-	if stats := c.MigrationStats(); stats.Orders != 0 || stats.Migrations != 0 {
+	if stats := c.Stats(); stats.MigrationOrders != 0 || stats.Migrations != 0 {
 		t.Fatalf("stats %+v, want zeroes", stats)
 	}
 }

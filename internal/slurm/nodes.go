@@ -24,13 +24,12 @@ func (c *Controller) DrainNode(index int) error {
 	c.drained[index] = true
 	c.drainedN++
 	// If currently free, pull it out of the pool immediately.
-	if c.pool.contains(index) {
+	pooled := c.pool.contains(index)
+	if pooled {
 		c.pool.remove(index)
 		c.drainedUnheld++
-		if c.tel != nil {
-			c.tel.nodeSpan(c.k.Now(), index, "drained")
-		}
 	}
+	c.logAdmin(EvDrain, index, pooled)
 	// A drained node stays powered for maintenance: cancel any armed
 	// sleep timer and boot it if it already dozed off. The boot is a real
 	// transition — the node is only usable again bootUntil later, so a
@@ -65,12 +64,24 @@ func (c *Controller) ResumeNode(index int) error {
 	// drain machinery, owns its return to the fleet — and a FAILED node
 	// stays on the fault books (it was never in drainedUnheld) until its
 	// repair re-pools it.
-	if !c.nodeHeld(n) && !c.isOffline(index) && !c.nodeFailed(index) {
+	pooled := !c.nodeHeld(n) && !c.isOffline(index) && !c.nodeFailed(index)
+	c.logAdmin(EvResume, index, pooled)
+	if pooled {
 		c.drainedUnheld--
-		c.releaseNodes([]*platform.Node{n})
+		c.releaseNodes(c.cluster.Nodes[index : index+1])
 		c.kick()
 	}
 	return nil
+}
+
+// logAdmin emits a DRAIN or RESUME event for node index; Nodes is 0
+// when the node stays outside the free pool.
+func (c *Controller) logAdmin(kind EventKind, index int, pooled bool) {
+	ev := Event{T: c.k.Now(), Kind: kind, JobID: c.ownerJobID(index), Info: c.cluster.Nodes[index].Name, Set: c.cluster.Nodes[index : index+1]}
+	if pooled {
+		ev.Nodes = 1
+	}
+	c.emit(ev)
 }
 
 // DrainedNodes reports how many nodes are out of service.

@@ -195,8 +195,5 @@ func (c *Controller) Reconfig(j *Job, req ResizeRequest) Decision {
 	if d.Action == Shrink && d.TargetJob != 0 {
 		c.BoostJob(d.TargetJob)
 	}
-	if c.tel != nil {
-		c.telReconfig(d)
-	}
 	return d
 }

@@ -100,30 +100,23 @@ func (c *Controller) setJobPState(j *Job, ps int) {
 		c.cfg.Energy.SetPState(n.Index, ps)
 	}
 	switch {
-	case j.pstate == 0 && ps > 0:
-		j.throttledAt = c.k.Now()
-		c.log(EvThrottle, j, fmt.Sprintf("p%d", ps))
-	case j.pstate > 0 && ps == 0:
-		c.settleThrottle(j)
-		c.log(EvRestore, j, "p0")
-	case ps > j.pstate:
-		c.log(EvThrottle, j, fmt.Sprintf("p%d", ps))
-	case ps < j.pstate:
-		c.log(EvRestore, j, fmt.Sprintf("p%d", ps))
+	case ps > old:
+		if old == 0 {
+			j.throttledAt = c.k.Now()
+		}
+		c.stats.CapThrottles++
+	case ps < old:
+		if ps == 0 {
+			c.settleThrottle(j)
+		}
+		c.stats.CapRestores++
 	}
+	// Log at the new P-state: subscribers read it off the job.
 	j.pstate = ps
-	if c.tel != nil && ps != old {
-		if ps > old {
-			c.tel.capThrottles.Inc()
-		} else {
-			c.tel.capRestores.Inc()
-		}
-		now := c.k.Now()
-		label := jobNodeLabel(j)
-		for _, n := range j.alloc {
-			c.tel.nodeSpan(now, n.Index, label)
-		}
-		c.telResize(j) // re-open the run span at the new P-state
+	if ps > old {
+		c.log(EvThrottle, j, j.alloc, fmt.Sprintf("p%d", ps))
+	} else if ps < old {
+		c.log(EvRestore, j, j.alloc, fmt.Sprintf("p%d", ps))
 	}
 	// The new P-state re-prices the job's release estimate.
 	c.repositionEndOrder(j)
@@ -175,24 +168,18 @@ func (c *Controller) capAdmit(j *Job, n int) bool {
 			}
 		}
 		if over > powerSlack {
-			if c.tel != nil {
-				c.tel.capDeferred.Inc()
-			}
+			c.stats.CapDeferred++
 			return false // headroom estimate was off; leave the job queued
 		}
 		j.pstate = ps
-		if c.tel != nil {
-			if ps == 0 {
-				c.tel.capAdmitP0.Inc()
-			} else {
-				c.tel.capAdmitDeep.Inc()
-			}
+		if ps == 0 {
+			c.stats.CapAdmitP0++
+		} else {
+			c.stats.CapAdmitDeep++
 		}
 		return true
 	}
-	if c.tel != nil {
-		c.tel.capDeferred.Inc()
-	}
+	c.stats.CapDeferred++
 	return false
 }
 

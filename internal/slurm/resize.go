@@ -65,14 +65,7 @@ func (c *Controller) DetachNodes(j *Job) []*platform.Node {
 	// dance target (set at allocation); GrowJob re-asserts it on graft.
 	// The job keeps "running" with zero nodes until cancelled, exactly
 	// like the transient state in the paper's dance.
-	c.log(EvDetach, j, fmt.Sprintf("parked=%d", len(nodes)))
-	if c.tel != nil {
-		now := c.k.Now()
-		label := fmt.Sprintf("held j%d", j.ID)
-		for _, n := range nodes {
-			c.tel.nodeSpan(now, n.Index, label)
-		}
-	}
+	c.log(EvDetach, j, nodes, fmt.Sprintf("parked=%d", len(nodes)))
 	return nodes
 }
 
@@ -92,7 +85,7 @@ func (c *Controller) CancelResizer(rj *Job) {
 		c.removeEndOrder(rj)
 		rj.State = StateCancelled
 		rj.EndTime = c.k.Now()
-		c.log(EvCancel, rj, "")
+		c.log(EvCancel, rj, nil, "")
 		c.kick()
 	default:
 		panic(fmt.Sprintf("slurm: CancelResizer on %v job %d", rj.State, rj.ID))
@@ -166,15 +159,7 @@ func (c *Controller) GrowJob(j *Job, nodes []*platform.Node) {
 		}
 	}
 	j.ResizeCount++
-	c.log(EvGrow, j, fmt.Sprintf("nodes=%d", len(j.alloc)))
-	if c.tel != nil {
-		now := c.k.Now()
-		label := jobNodeLabel(j)
-		for _, n := range nodes {
-			c.tel.nodeSpan(now, n.Index, label)
-		}
-		c.telResize(j)
-	}
+	c.log(EvGrow, j, nodes, fmt.Sprintf("nodes=%d", len(j.alloc)))
 	c.sample()
 }
 
@@ -195,10 +180,7 @@ func (c *Controller) ShrinkJob(j *Job, n int) []*platform.Node {
 	c.repositionEndOrder(j)
 	c.releaseNodes(released)
 	j.ResizeCount++
-	c.log(EvShrink, j, fmt.Sprintf("nodes=%d released=%d", n, len(released)))
-	if c.tel != nil {
-		c.telResize(j)
-	}
+	c.log(EvShrink, j, released, fmt.Sprintf("nodes=%d released=%d", n, len(released)))
 	c.sample()
 	c.kick()
 	return released
@@ -216,6 +198,6 @@ func (c *Controller) BoostJob(id int) {
 		c.removePending(j)
 		j.Boosted = true
 		c.insertPending(j)
-		c.log(EvBoost, j, "")
+		c.log(EvBoost, j, nil, "")
 	}
 }

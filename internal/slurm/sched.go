@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // priority computes a job's scheduling priority. The paper enables
@@ -134,26 +133,14 @@ func (c *Controller) startSize(j *Job, free int) (int, bool) {
 // boosts only arrive from process context between passes. After a start
 // the queue is rescanned from the top (free counts changed), with the
 // started job dropped in place instead of the seed code's full re-sort
-// per start.
+// per start. Every pass ends with a PASS probe.
 func (c *Controller) schedulePass() {
 	queue := append(c.passQueue[:0], c.pending...)
-	defer func() { c.passQueue = queue[:0] }()
-	// Pass-local instrument shadows: stack counters cost nothing when
-	// telemetry is off; the deferred publisher only exists when it is on.
-	var mainStarts, bfStarts, bfScanned uint64
-	if tel := c.tel; tel != nil {
-		defer func() {
-			tel.passes.Inc()
-			tel.mainStarts.Add(mainStarts)
-			tel.bfStarts.Add(bfStarts)
-			tel.bfScanned.Add(bfScanned)
-			tel.bfSkipped.Add(bfScanned - bfStarts)
-			tel.sink.Trace.Instant(tracePidSched, traceTidPasses, "sched", "pass", c.k.Now(),
-				telemetry.Arg{Key: "main_starts", Val: mainStarts},
-				telemetry.Arg{Key: "backfill_starts", Val: bfStarts},
-				telemetry.Arg{Key: "backfill_scanned", Val: bfScanned})
-		}()
-	}
+	defer func() {
+		c.passQueue = queue[:0]
+		c.stats.Passes++
+		c.emit(Event{T: c.k.Now(), Kind: EvPass})
+	}()
 	// Main pass: start jobs in priority order until the first one that
 	// cannot run; that job becomes the backfill reservation holder. A
 	// job can be blocked on nodes or — under a power cap — on watts:
@@ -190,7 +177,7 @@ func (c *Controller) schedulePass() {
 				}
 			}
 			c.startJob(j, n)
-			mainStarts++
+			c.stats.MainStarts++
 			queue = append(queue[:qi], queue[qi+1:]...)
 			started = true
 			break // rescan from the top: free counts changed
@@ -236,7 +223,7 @@ func (c *Controller) schedulePass() {
 			if j == blocked || j.State != StatePending || !c.eligible(j) {
 				continue
 			}
-			bfScanned++
+			c.stats.BackfillScanned++
 			need := c.needNodes(j)
 			if need > c.freeFor(j) {
 				continue
@@ -279,7 +266,7 @@ func (c *Controller) schedulePass() {
 				continue
 			}
 			c.startJob(j, n)
-			bfStarts++
+			c.stats.BackfillStarts++
 			if !fitsBefore {
 				for _, nd := range j.alloc {
 					if blocked.ClassEligible(nd) {

@@ -11,16 +11,20 @@
 //   - Nothing here reads the host clock. Host time is measured outside
 //     the simulator: dmrsim -pprof/-rtrace and the dmrbench harness
 //     (bench/).
-//   - Instrumented code holds a nil-able *Sink and guards every hook,
-//     so the disabled path costs a nil check and allocates nothing.
+//   - The simulator holds no telemetry hooks. A sink observes a
+//     controller as one more subscriber to its event and sample streams
+//     (Sink.Attach), so a run without a sink pays nothing for one.
 package telemetry
 
-// Sink bundles the two exporters instrumented code hangs off.
+// Sink bundles the two exporters and the controller subscription that
+// feeds them.
 type Sink struct {
 	// Trace records sim-time spans, instants and counter series.
 	Trace *Tracer
 	// Reg is the deterministic metrics registry (virtual-time data only).
 	Reg *Registry
+
+	ctl *ctlObserver // set by Attach
 }
 
 // New builds a sink with both exporters enabled.
