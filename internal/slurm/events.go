@@ -20,7 +20,7 @@ const (
 	EvGrow
 	EvBoost
 	EvSleep           // node dropped to a sleep state after its idle timeout
-	EvWake            // sleeping node resumed for an allocation
+	EvWake            // a sleeping node started waking: for an allocation (JobID charged) or a drain (JobID 0)
 	EvThrottle        // power-cap governor stepped a job's nodes below P0
 	EvRestore         // throttled job stepped back toward P0 as headroom returned
 	EvThermalThrottle // a node crossed its thermal envelope and its P-state floor deepened
@@ -90,8 +90,9 @@ func (k EventKind) String() string {
 	return kindNames[k]
 }
 
-// Event is one report on the controller's event stream, the only one it
-// keeps: subscribers (SubscribeEvents) receive each event as it happens.
+// Event is one report on the controller's event stream, its only report.
+// Subscribers (SubscribeEvents) receive each event as it happens; the
+// controller keeps no log.
 type Event struct {
 	T     sim.Time
 	Kind  EventKind

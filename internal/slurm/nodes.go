@@ -77,7 +77,13 @@ func (c *Controller) ResumeNode(index int) error {
 // logAdmin emits a DRAIN or RESUME event for node index; Nodes is 0
 // when the node stays outside the free pool.
 func (c *Controller) logAdmin(kind EventKind, index int, pooled bool) {
-	ev := Event{T: c.k.Now(), Kind: kind, JobID: c.ownerJobID(index), Info: c.cluster.Nodes[index].Name, Set: c.cluster.Nodes[index : index+1]}
+	ev := Event{
+		T:     c.k.Now(),
+		Kind:  kind,
+		JobID: c.ownerJobID(index),
+		Info:  c.cluster.Nodes[index].Name,
+		Set:   c.cluster.Nodes[index : index+1],
+	}
 	if pooled {
 		ev.Nodes = 1
 	}

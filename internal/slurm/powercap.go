@@ -99,6 +99,7 @@ func (c *Controller) setJobPState(j *Job, ps int) {
 	for _, n := range j.alloc {
 		c.cfg.Energy.SetPState(n.Index, ps)
 	}
+	kind := EvThrottle
 	switch {
 	case ps > old:
 		if old == 0 {
@@ -110,13 +111,12 @@ func (c *Controller) setJobPState(j *Job, ps int) {
 			c.settleThrottle(j)
 		}
 		c.stats.CapRestores++
+		kind = EvRestore
 	}
-	// Log at the new P-state: subscribers read it off the job.
 	j.pstate = ps
-	if ps > old {
-		c.log(EvThrottle, j, j.alloc, fmt.Sprintf("p%d", ps))
-	} else if ps < old {
-		c.log(EvRestore, j, j.alloc, fmt.Sprintf("p%d", ps))
+	if ps != old {
+		// Logged at the new P-state: subscribers read it off the job.
+		c.log(kind, j, j.alloc, fmt.Sprintf("p%d", ps))
 	}
 	// The new P-state re-prices the job's release estimate.
 	c.repositionEndOrder(j)
