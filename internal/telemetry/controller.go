@@ -346,10 +346,7 @@ func (o *ctlObserver) thermal(ev slurm.Event) {
 		return
 	}
 	i := ev.Set[0].Index
-	label := fmt.Sprintf("j%d", ev.JobID)
-	if j := o.ctl.Job(ev.JobID); j.State == slurm.StateRunning {
-		label = jobNodeLabel(j)
-	}
+	label := jobNodeLabel(o.ctl.Job(ev.JobID))
 	if throttled {
 		label = fmt.Sprintf("%s t%d", label, o.acct.ThermalFloor(i))
 	}
