@@ -5,7 +5,7 @@
 //
 //	dmrsim [-jobs N] [-nodes N] [-realistic] [-arrival shape] [-fixed] [-async] [-moldable]
 //	       [-period s] [-seed N] [-trace] [-events]
-//	       [-energy] [-sleep s] [-energypolicy] [-powercap W]
+//	       [-sleep s] [-energypolicy] [-powercap W]
 //	       [-fastnodes N] [-classaware] [-thermal] [-ladder]
 //	       [-elastic min:max] [-mtbf s] [-mttr s] [-bootfail p] [-ckpt N] [-migrate]
 //	       [-tracefile f.json] [-metricsfile f.prom] [-pprof f] [-rtrace f]
@@ -83,20 +83,19 @@ func main() {
 	events := flag.Bool("events", false, "print the controller event log")
 	watch := flag.Float64("watch", 0, "print squeue-style status every N virtual seconds")
 	acct := flag.Bool("acct", false, "print the accounting records as CSV")
-	withEnergy := flag.Bool("energy", false, "enable power/energy accounting (energy_j in -acct)")
-	sleepAfter := flag.Float64("sleep", 0, "idle seconds before free nodes sleep (implies -energy)")
-	energyPolicy := flag.Bool("energypolicy", false, "energy-aware DMR policy instead of Algorithm 1 (implies -energy)")
-	powerCap := flag.Float64("powercap", 0, "cluster power cap in watts: defer/throttle starts to stay under it (implies -energy)")
-	fastNodes := flag.Int("fastnodes", -1, "heterogeneous fleet: N reference-class nodes, the rest efficiency-class; jobs carry class demands (implies -energy)")
+	sleepAfter := flag.Float64("sleep", 0, "idle seconds before free nodes sleep")
+	energyPolicy := flag.Bool("energypolicy", false, "energy-aware DMR policy instead of Algorithm 1")
+	powerCap := flag.Float64("powercap", 0, "cluster power cap in watts: defer/throttle starts to stay under it")
+	fastNodes := flag.Int("fastnodes", -1, "heterogeneous fleet: N reference-class nodes, the rest efficiency-class; jobs carry class demands")
 	classAware := flag.Bool("classaware", false, "machine-class-aware placement and resize pricing (use with -fastnodes)")
-	thermal := flag.Bool("thermal", false, "thermal envelopes: sustained load forces DVFS throttling (implies -energy)")
-	ladder := flag.Bool("ladder", false, "idle S-state ladder: 9 W suspend after 120 s idle, 4 W deep state after 600 s (implies -energy)")
-	elastic := flag.String("elastic", "", "elastic fleet envelope min:max — provision/power off nodes against queue pressure (implies -energy; max empty or 0: whole cluster)")
-	mtbf := flag.Float64("mtbf", 0, "per-node mean time between failures in seconds: inject deterministic crashes (implies -energy; 0 disables)")
+	thermal := flag.Bool("thermal", false, "thermal envelopes: sustained load forces DVFS throttling")
+	ladder := flag.Bool("ladder", false, "idle S-state ladder: 9 W suspend after 120 s idle, 4 W deep state after 600 s")
+	elastic := flag.String("elastic", "", "elastic fleet envelope min:max — provision/power off nodes against queue pressure (max empty or 0: whole cluster)")
+	mtbf := flag.Float64("mtbf", 0, "per-node mean time between failures in seconds: inject deterministic crashes (0 disables)")
 	mttr := flag.Float64("mttr", 0, "mean time to repair a crashed node in seconds (0: one hour)")
 	bootFailP := flag.Float64("bootfail", 0, "probability an elastic provision boot fails (use with -elastic)")
 	ckpt := flag.Int("ckpt", 0, "periodic application checkpoint every N iterations: a crash-requeued job resumes from its last checkpoint (0 disables)")
-	migrate := flag.Bool("migrate", false, "live-migration decision pass: checkpoint/restart running jobs across machine classes to evacuate, defragment or consolidate (implies -energy; use with -fastnodes)")
+	migrate := flag.Bool("migrate", false, "live-migration decision pass: checkpoint/restart running jobs across machine classes to evacuate, defragment or consolidate (use with -fastnodes)")
 	traceFile := flag.String("tracefile", "", "write a Chrome trace-event JSON of the run (Perfetto-loadable)")
 	metricsFile := flag.String("metricsfile", "", "write a telemetry registry snapshot (Prometheus text, or CSV when the path ends in .csv)")
 	pprofFile := flag.String("pprof", "", "write a host CPU profile of the simulator run (go tool pprof)")
@@ -147,7 +146,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dmrsim: -sleep and -ladder are mutually exclusive (the ladder fixes its own rung timings)")
 		os.Exit(2)
 	}
-	cfg.Energy = *withEnergy
 	if *sleepAfter > 0 {
 		cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: sim.Seconds(*sleepAfter)}}
 	}
@@ -208,7 +206,6 @@ func main() {
 			}
 		}
 		cfg.Platform = &pc
-		cfg.Energy = true
 		params.ClassMix = mix
 	}
 	cfg.ClassAware = *classAware
@@ -274,11 +271,9 @@ func main() {
 	fmt.Printf("  avg completion time:  %10.0f s\n", res.AvgCompletion.Seconds())
 	fmt.Printf("  resource utilization: %10.2f %%\n", res.UtilRate)
 	fmt.Printf("  reconfigurations:     %10d\n", res.Resizes)
-	if sys.Energy != nil {
-		fmt.Printf("  cluster energy:       %10.0f kJ\n", res.EnergyJ/1e3)
-		fmt.Printf("  avg cluster draw:     %10.0f W\n", res.AvgPowerW)
-		fmt.Printf("  node wake-ups:        %10d\n", sys.Energy.Wakes())
-	}
+	fmt.Printf("  cluster energy:       %10.0f kJ\n", res.EnergyJ/1e3)
+	fmt.Printf("  avg cluster draw:     %10.0f W\n", res.AvgPowerW)
+	fmt.Printf("  node wake-ups:        %10d\n", sys.Energy.Wakes())
 	st := sys.Ctl.Stats()
 	if cfg.Elastic != nil {
 		fmt.Printf("  fleet online:         %10d nodes\n", sys.Ctl.FleetNodes())

@@ -90,6 +90,17 @@ func TestValidateRejects(t *testing.T) {
 		want string
 	}{
 		{"platform classes overflow", func(c *Config) { c.Platform = mixedPlatform(10, 10); c.Nodes = 12 }, "classes cover"},
+		{"class profile without S-states", func(c *Config) {
+			c.Platform = mixedPlatform(10, 10)
+			c.Platform.Classes[1].Power.SStates = nil
+		}, "no S-states"},
+		{"base profile without S-states", func(c *Config) {
+			pc := mixedPlatform(10, 0)
+			pc.Nodes = 20
+			pc.Power = energy.DefaultProfile()
+			pc.Power.SStates = nil
+			c.Platform = pc
+		}, "base profile"},
 		{"negative ckpt", func(c *Config) { c.CkptEvery = -1 }, "CkptEvery"},
 		{"negative mtbf", func(c *Config) { c.Faults = &faults.Config{MTBF: -sim.Second} }, "MTBF"},
 		{"bootfail above one", func(c *Config) {

@@ -49,26 +49,26 @@ type Config struct {
 	// filesystem (checkpoint/restart style) instead of the in-memory
 	// offload path — the workload-scale version of Figure 1's baseline.
 	CRTransfer bool
-	// Energy attaches the power/energy accounting subsystem: per-node
-	// power-state metering, per-job attributed energy in the accounting
-	// records, and the EnergyJ/AvgPowerW workload measures. Everything
-	// documented as implying Energy attaches it too.
+	// Energy is ignored: every system meters its nodes with a power
+	// accountant (System.Energy).
+	//
+	// Deprecated: leave it unset; it is removed once no caller sets it.
 	Energy bool
 	// SleepLadder steps idle nodes through progressively deeper S-states
-	// the longer they stay idle (implies Energy; empty keeps idle nodes
-	// powered on, one rung is a single idle-timeout drop). Allocating a
-	// laddered node pays the wake latency of the rung it occupies.
+	// the longer they stay idle (empty keeps idle nodes powered on, one
+	// rung is a single idle-timeout drop). Allocating a laddered node
+	// pays the wake latency of the rung it occupies.
 	SleepLadder []slurm.SleepRung
 	// Thermal attaches the default per-class thermal envelope to every
-	// node profile that does not already carry one (implies Energy):
-	// sustained load heats nodes past the envelope and forces DVFS
-	// throttling independent of any power cap, and cooling below the
-	// restore threshold clears it. Platforms supplying their own
-	// Profile.Thermal envelopes are honored without this switch.
+	// node profile that does not already carry one: sustained load heats
+	// nodes past the envelope and forces DVFS throttling independent of
+	// any power cap, and cooling below the restore threshold clears it.
+	// Platforms supplying their own Profile.Thermal envelopes are
+	// honored without this switch.
 	Thermal bool
 	// PowerCapW bounds the instantaneous cluster draw: job starts are
 	// admission-controlled and running jobs are DVFS-throttled to stay
-	// under the cap (implies Energy; 0 disables capping).
+	// under the cap (0 disables capping).
 	PowerCapW float64
 	// ClassAware turns on machine-class-aware placement for
 	// heterogeneous fleets: the scheduler prefers faster classes, prices
@@ -78,34 +78,33 @@ type Config struct {
 	// Per-job hard/soft class demands (workload ClassMix) are honored
 	// even without this switch.
 	ClassAware bool
-	// Elastic attaches the elastic capacity controller (implies Energy):
-	// a periodic adapt loop sizes the powered fleet between Min and Max
-	// against queue pressure and measured wait, decommissioned nodes
-	// power off to S5 (zero draw, full boot on provision), and EASY
-	// reservations pre-boot the blocked job's nodes ahead of the
-	// reservation start.
+	// Elastic attaches the elastic capacity controller: a periodic adapt
+	// loop sizes the powered fleet between Min and Max against queue
+	// pressure and measured wait, decommissioned nodes power off to S5
+	// (zero draw, full boot on provision), and EASY reservations
+	// pre-boot the blocked job's nodes ahead of the reservation start.
 	Elastic *slurm.ElasticConfig
-	// Faults attaches the deterministic fault injector (implies Energy):
-	// seeded node crashes from an MTBF/Weibull model with repair delays,
-	// and boot failures for elastic provisioning (BootFailP requires
-	// Elastic). A crashed node's rigid job is requeued (restarting from
-	// scratch, or from its last periodic checkpoint when CkptEvery is
-	// set); a malleable job shrinks to its survivors and continues. Nil —
-	// or a config with the model disabled — leaves every RNG stream and
+	// Faults attaches the deterministic fault injector: seeded node
+	// crashes from an MTBF/Weibull model with repair delays, and boot
+	// failures for elastic provisioning (BootFailP requires Elastic). A
+	// crashed node's rigid job is requeued (restarting from scratch, or
+	// from its last periodic checkpoint when CkptEvery is set); a
+	// malleable job shrinks to its survivors and continues. Nil — or a
+	// config with the model disabled — leaves every RNG stream and
 	// golden byte-identical.
 	Faults *faults.Config
 	// CkptEvery writes periodic application checkpoints through the PFS
 	// every this many iterations (0 disables), bounding the work a
 	// crash-requeued rigid job loses.
 	CkptEvery int
-	// Migration attaches the live-migration decision pass (implies
-	// Energy — the picker prices moves in watts): the scheduler may
-	// order a running job onto another machine class through a modeled
-	// checkpoint/restart cycle, to evacuate throttled nodes, clean up
-	// class-straddling placements, or consolidate sparse load so vacated
-	// racks power down. Requires a Policy (the selectdmr plug-ins
-	// implement the picker half) and a fleet of at least two machine
-	// classes. Nil leaves every golden byte-identical.
+	// Migration attaches the live-migration decision pass (the picker
+	// prices moves in watts): the scheduler may order a running job onto
+	// another machine class through a modeled checkpoint/restart cycle,
+	// to evacuate throttled nodes, clean up class-straddling placements,
+	// or consolidate sparse load so vacated racks power down. Requires a
+	// Policy (the selectdmr plug-ins implement the picker half) and a
+	// fleet of at least two machine classes. Nil leaves every golden
+	// byte-identical.
 	Migration *slurm.MigrationConfig
 	// Telemetry, when non-nil, attaches the deterministic telemetry sink
 	// to the controller's event and sample streams and the accountant's
@@ -123,9 +122,9 @@ const (
 	// PreferredOnly ablates Algorithm 1 to its preferred-size branch,
 	// disabling wide optimization.
 	PreferredOnly
-	// EnergyAware is Algorithm 1's energy-biased variant (implies
-	// Energy): shrink when the queue is empty so freed nodes sleep,
-	// expand only under dense arrivals.
+	// EnergyAware is Algorithm 1's energy-biased variant: shrink when
+	// the queue is empty so freed nodes sleep, expand only under dense
+	// arrivals.
 	EnergyAware
 )
 
@@ -149,8 +148,7 @@ type System struct {
 	Cluster  *platform.Cluster
 	Ctl      *slurm.Controller
 	Recorder *metrics.Recorder
-	// Energy is the power accountant (nil unless Config.Energy or a
-	// feature implying it is set).
+	// Energy is the power accountant every system meters with.
 	Energy *energy.Accountant
 
 	jobs []*slurm.Job
@@ -166,14 +164,6 @@ func (cfg Config) platformConfig() platform.Config {
 		pc.Nodes = cfg.Nodes
 	}
 	return pc
-}
-
-// needsEnergy is the one place that decides whether the system runs on
-// the power accountant: every feature below meters or prices watts.
-func (cfg Config) needsEnergy() bool {
-	return cfg.Energy || cfg.Policy == EnergyAware || cfg.PowerCapW > 0 || cfg.Thermal ||
-		len(cfg.SleepLadder) > 0 || cfg.Elastic != nil || cfg.Migration != nil ||
-		(cfg.Faults != nil && cfg.Faults.Enabled())
 }
 
 // plugin builds the selection plug-in for cfg's policy. Every plug-in
@@ -203,10 +193,6 @@ func (cfg Config) slurmConfig() slurm.Config {
 	scfg.Migration = cfg.Migration
 	return scfg
 }
-
-// accountantStandIn stands in for the accountant NewSystem attaches: the
-// controller's rules only ask whether one is present.
-var accountantStandIn energy.Accountant
 
 // Validate reports the first rule cfg breaks. It builds no cluster, so
 // the command-line tools call it on user input; NewSystem panics with
@@ -239,11 +225,7 @@ func (cfg Config) Validate() error {
 			return errors.New("core: Migration needs a fleet of at least two machine classes")
 		}
 	}
-	scfg := cfg.slurmConfig()
-	if cfg.needsEnergy() {
-		scfg.Energy = &accountantStandIn
-	}
-	return scfg.Validate(pc.Nodes)
+	return cfg.slurmConfig().Validate(pc.Nodes)
 }
 
 // NewSystem builds a fresh simulated system. It panics if cfg does not
@@ -278,23 +260,23 @@ func NewSystem(cfg Config) *System {
 	}
 	cl := platform.New(pc)
 	scfg := cfg.slurmConfig()
-	var acct *energy.Accountant
+	acct := energy.New(cl.K, cl.PowerProfiles())
+	// Subscribe the traces before NewController: an elastic fleet powers
+	// nodes off inside it, and the accountant samples only for
+	// subscribers.
 	rec := &metrics.Recorder{}
-	if cfg.Energy = cfg.needsEnergy(); cfg.Energy {
-		acct = energy.New(cl.K, cl.PowerProfiles())
-		rec.AttachPower(acct) // before NewController: it may arm sleeps
-		if acct.ThermalEnabled() {
-			rec.AttachThermal(acct)
-		}
-		scfg.Energy = acct
-		if cfg.Faults != nil && cfg.Faults.Enabled() {
-			scfg.Faults = faults.New(*cfg.Faults)
-		}
+	rec.AttachPower(acct)
+	if acct.ThermalEnabled() {
+		rec.AttachThermal(acct)
+	}
+	scfg.Energy = acct
+	if cfg.Faults != nil && cfg.Faults.Enabled() {
+		scfg.Faults = faults.New(*cfg.Faults)
 	}
 	ctl := slurm.NewController(cl, scfg)
 	rec.Attach(ctl)
 	if cfg.Telemetry != nil {
-		cfg.Telemetry.Attach(ctl, acct)
+		cfg.Telemetry.Attach(ctl)
 	}
 	return &System{Cfg: cfg, Cluster: cl, Ctl: ctl, Recorder: rec, Energy: acct}
 }
@@ -434,24 +416,20 @@ func (s *System) Run() *metrics.WorkloadResult {
 	if live := s.Cluster.K.LiveProcs(); len(live) != 0 {
 		panic(fmt.Sprintf("core: deadlocked processes after drain: %v", live))
 	}
-	if s.Energy != nil {
-		// Settle the last coalesced power sample: the power trace and
-		// the telemetry gauge both end on it.
-		s.Energy.FlushSamples()
-	}
+	// Settle the last coalesced power sample: the power trace and the
+	// telemetry gauge both end on it.
+	s.Energy.FlushSamples()
 	if s.Cfg.Telemetry != nil {
 		s.Cfg.Telemetry.Flush() // close every open trace span at the drained clock
 	}
 	res := metrics.Collect(s.jobs, &s.Recorder.Trace)
-	if s.Energy != nil {
-		// Energy is measured over [0, makespan] so fixed and flexible
-		// runs of different lengths compare their own workload windows;
-		// trailing sleep timers past the last job end are excluded.
-		res.Power = s.Recorder.PowerTrace
-		res.EnergyJ = res.Power.EnergyJoules(res.Makespan)
-		res.AvgPowerW = res.Power.AvgPowerW(res.Makespan)
-		res.Temp = s.Recorder.TempTrace
-	}
+	// Energy is measured over [0, makespan] so fixed and flexible runs of
+	// different lengths compare their own workload windows; trailing
+	// sleep timers past the last job end are excluded.
+	res.Power = s.Recorder.PowerTrace
+	res.EnergyJ = res.Power.EnergyJoules(res.Makespan)
+	res.AvgPowerW = res.Power.AvgPowerW(res.Makespan)
+	res.Temp = s.Recorder.TempTrace
 	return res
 }
 

@@ -158,7 +158,6 @@ func TestEnergyWithDeepSleepCompletesAndMeters(t *testing.T) {
 	specs := workload.Generate(workload.Preliminary(10, 1, 7))
 	cfg := DefaultConfig()
 	cfg.Nodes = 20
-	cfg.Energy = true
 	cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: 30 * sim.Second, State: 1}} // deep sleep: 30 s wake latency
 	sys := NewSystem(cfg)
 	sys.SubmitAll(specs)
@@ -197,7 +196,6 @@ func TestClassAwareMoldingPreferredFloor(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Platform = &pc
-	cfg.Energy = true
 	cfg.ClassAware = true
 	sys := NewSystem(cfg)
 
@@ -239,7 +237,6 @@ func TestEfficiencyClassStretchesRuntime(t *testing.T) {
 	spec := workload.Spec{Class: apps.ClassFS, Nodes: 1, Runtime: 100 * sim.Second}
 	base := DefaultConfig()
 	base.Nodes = 2
-	base.Energy = true
 	fast := RunWorkload(base, []workload.Spec{spec})
 
 	slowPC := platform.Marenostrum3()
@@ -263,7 +260,6 @@ func TestPowerCapThrottleStretchesRuntime(t *testing.T) {
 	spec := workload.Spec{Class: apps.ClassFS, Nodes: 1, Runtime: 100 * sim.Second}
 	base := DefaultConfig()
 	base.Nodes = 2
-	base.Energy = true
 	free := RunWorkload(base, []workload.Spec{spec})
 
 	capped := base

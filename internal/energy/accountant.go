@@ -401,24 +401,6 @@ func (a *Accountant) AbortBoot(i int) {
 	a.armThermal(i)
 }
 
-// WakeIdle wakes a sleeping node back to powered-on idle without an
-// allocation (the admin drain path: maintenance wants the node up).
-// Returns the wake latency paid; no-op for nodes that are not sleeping.
-func (a *Accountant) WakeIdle(i int) sim.Time {
-	m := &a.nodes[i]
-	if m.state != Sleeping {
-		return 0
-	}
-	a.advance(i)
-	wake := m.profile.WakeLatency(m.sstate)
-	m.wakes++
-	m.state = Idle
-	m.jobID = 0
-	a.setDraw(i, m.profile.IdleW)
-	a.armThermal(i)
-	return wake
-}
-
 // Reattribute moves node i's ongoing draw to a different job without a
 // power-state change — the expand dance parks nodes on a resizer job and
 // later grafts them onto the target job.

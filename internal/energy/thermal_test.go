@@ -304,23 +304,6 @@ func TestThermalSampleHook(t *testing.T) {
 	}
 }
 
-// WakeIdle (the drain path) pays the occupied rung's latency and leaves
-// the node powered-on idle.
-func TestWakeIdleFromDeepRung(t *testing.T) {
-	k := sim.NewKernel()
-	a := New(k, Uniform(DefaultProfile(), 1))
-	a.NodeSleep(0, 1)
-	if w := a.WakeIdle(0); w != DefaultProfile().WakeLatency(1) {
-		t.Fatalf("wake latency %v, want the deep rung's %v", w, DefaultProfile().WakeLatency(1))
-	}
-	if a.State(0) != Idle || a.NodePowerW(0) != DefaultProfile().IdleW {
-		t.Fatalf("state %v at %.1f W after WakeIdle", a.State(0), a.NodePowerW(0))
-	}
-	if w := a.WakeIdle(0); w != 0 {
-		t.Fatalf("second WakeIdle returned %v", w)
-	}
-}
-
 // Clamping: out-of-range P/S-state indices snap to the nearest defined
 // state everywhere they can be supplied.
 func TestStateIndexClamping(t *testing.T) {

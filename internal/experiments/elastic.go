@@ -83,8 +83,8 @@ func elasticParams(jobs int, pattern string, seed int64) (workload.Params, error
 	return p, nil
 }
 
-// elasticConfig builds the study's system: energy accounting with the
-// stock sleep ladder, plus the elastic envelope when el is non-nil.
+// elasticConfig builds the study's system: the stock sleep ladder, plus
+// the elastic envelope when el is non-nil.
 func elasticConfig(el *slurm.ElasticConfig) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SleepLadder = slurm.DefaultSleepLadder()

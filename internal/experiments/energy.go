@@ -43,8 +43,8 @@ func (r EnergyRow) AwareGainPct() float64 {
 	return metrics.GainPct(r.Rigid.EnergyJ, r.Aware.EnergyJ)
 }
 
-// energyConfig builds the experiment system: accounting on, idle nodes
-// sleeping after DefaultIdleSleep, and the requested policy variant.
+// energyConfig builds the experiment system: idle nodes sleeping after
+// DefaultIdleSleep, and the requested policy variant.
 func energyConfig(aware bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: DefaultIdleSleep}}

@@ -66,9 +66,9 @@ type FaultRow struct {
 	Runs []FaultRun // in FaultRegimes order
 }
 
-// faultConfig builds the study's system: energy accounting (the fault
-// machinery runs on the accountant's meters), the injector at one MTBF,
-// and the regime's checkpoint cadence.
+// faultConfig builds the study's system: idle nodes sleeping after
+// DefaultIdleSleep, the injector at one MTBF, and the regime's
+// checkpoint cadence.
 func faultConfig(mtbf sim.Time, ckptEvery int, seed int64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: DefaultIdleSleep}}

@@ -64,10 +64,10 @@ func (r MigrationRow) MakespanDeltaPct() float64 {
 	return -metrics.GainPct(r.Off.Res.Makespan.Seconds(), r.On.Res.Makespan.Seconds())
 }
 
-// migrationConfig builds the study's system: energy accounting with
-// the stock sleep ladder on the mixed fleet, class-blind placement,
-// and the migration pass when mig is non-nil. The stock selection
-// policy doubles as the migration picker.
+// migrationConfig builds the study's system: the stock sleep ladder on
+// the mixed fleet, class-blind placement, and the migration pass when
+// mig is non-nil. The stock selection policy doubles as the migration
+// picker.
 func migrationConfig(mig *slurm.MigrationConfig) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SleepLadder = slurm.DefaultSleepLadder()

@@ -83,17 +83,15 @@ func mixedRun(pc platform.Config, classAware bool, specs []workload.Spec) MixedF
 	sys := core.NewSystem(cfg)
 	sys.SubmitAll(specs)
 	run := MixedFleetRun{Res: sys.Run()}
-	if sys.Energy != nil {
-		sys.Energy.Flush()
-		for _, nd := range sys.Cluster.Nodes {
-			if nd.Speed() < 1 {
-				run.SlowJ += sys.Energy.NodeJoules(nd.Index)
-			} else {
-				run.FastJ += sys.Energy.NodeJoules(nd.Index)
-			}
+	sys.Energy.Flush()
+	for _, nd := range sys.Cluster.Nodes {
+		if nd.Speed() < 1 {
+			run.SlowJ += sys.Energy.NodeJoules(nd.Index)
+		} else {
+			run.FastJ += sys.Energy.NodeJoules(nd.Index)
 		}
-		run.UnattribJ = sys.Energy.UnattributedJoules()
 	}
+	run.UnattribJ = sys.Energy.UnattributedJoules()
 	var stretch float64
 	for i, j := range sys.Jobs() {
 		run.NodeSec += j.NodeSeconds

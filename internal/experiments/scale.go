@@ -85,7 +85,7 @@ type ScaleRow struct {
 func (r ScaleRow) Runs() []ScaleRun { return []ScaleRun{r.Rigid, r.Malleable, r.ClassAware} }
 
 // scaleRun executes one regime through the full stack (controller,
-// nanos runtime, FS step loops, energy accounting with idle sleep).
+// nanos runtime, FS step loops, idle sleep).
 func scaleRun(regime string, pc platform.Config, classAware bool, specs []workload.Spec) ScaleRun {
 	cfg := energyConfig(false)
 	cfg.Platform = &pc

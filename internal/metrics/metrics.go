@@ -102,8 +102,8 @@ type WorkloadResult struct {
 	Resizes       int
 	Trace         *Trace
 
-	// Energy measures, filled when the run carried an energy accountant:
-	// the cluster energy integral over [0, makespan] and the mean draw.
+	// Energy measures, filled by core.System.Run: the cluster energy
+	// integral over [0, makespan] and the mean draw.
 	EnergyJ   float64
 	AvgPowerW float64
 	Power     *PowerTrace

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/energy"
 	"repro/internal/nanos"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -34,9 +33,8 @@ func (s *scriptedFaults) RepairTime() sim.Time   { return s.repair }
 func (s *scriptedFaults) BootFails() bool        { return false }
 func (s *scriptedFaults) BootRetry(int) sim.Time { return sim.Minute }
 
-// faultRig builds a cluster and controller with the Algorithm 1 policy,
-// an energy accountant (the fault machinery runs on its meters), and a
-// scripted fault model.
+// faultRig builds a cluster and controller with the Algorithm 1 policy
+// and a scripted fault model.
 func faultRig(nodes int, fm slurm.FaultModel) (*platform.Cluster, *slurm.Controller) {
 	pc := platform.Marenostrum3()
 	pc.Nodes = nodes
@@ -44,7 +42,6 @@ func faultRig(nodes int, fm slurm.FaultModel) (*platform.Cluster, *slurm.Control
 	scfg := slurm.DefaultConfig()
 	scfg.SchedDelay = 100 * sim.Millisecond
 	scfg.Policy = selectdmr.New()
-	scfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	scfg.Faults = fm
 	return cl, slurm.NewController(cl, scfg)
 }

@@ -66,18 +66,17 @@ func (w *Worker) MarkProtected() {
 }
 
 // SpeedFactor returns the slowest current execution speed across the
-// process set's nodes, the factor step loops divide compute time by.
-// With energy accounting attached this is the live DVFS speed — a node
-// the power-cap governor stepped below P0 runs under 1.0 — and without
-// it each node's machine-class P0 speed (an efficiency-class machine is
-// inherently slower than the reference Xeon).
+// process set's nodes, the factor step loops divide compute time by:
+// each node's live DVFS speed — a node the power-cap governor or a
+// thermal floor stepped below P0 runs under its class P0 speed, and an
+// efficiency-class machine is inherently slower than the reference Xeon
+// even at P0. A node that is not computing (a crashed member before the
+// recovery collects it) falls back to its class P0 speed.
 func (w *Worker) SpeedFactor() float64 {
 	acct := w.rt.ctl.Energy()
 	return w.R.Comm().MinSpeed(func(n *platform.Node) float64 {
-		if acct != nil {
-			if s := acct.Speed(n.Index); s > 0 {
-				return s
-			}
+		if s := acct.Speed(n.Index); s > 0 {
+			return s
 		}
 		return n.Power.SpeedAt(0)
 	})

@@ -91,6 +91,8 @@ type Config struct {
 // subsequent class (the assignment cursor never advanced past it), and
 // an over-covering list silently truncated — both now fail loudly here
 // instead of producing a fleet that differs from the one configured.
+// Every profile a node receives must pass energy.Profile.Validate: each
+// run meters its nodes, and the accountant refuses a bad power model.
 func (c Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("platform: cluster needs at least one node, got %d", c.Nodes)
@@ -100,19 +102,22 @@ func (c Config) Validate() error {
 		if mc.Count < 0 {
 			return fmt.Errorf("platform: class %d (%q) has negative count %d", i, mc.Power.Class, mc.Count)
 		}
-		if mc.Count > 0 && len(mc.Power.PStates) == 0 {
-			return fmt.Errorf("platform: class %d (%q) has no P-states", i, mc.Power.Class)
+		if mc.Count == 0 {
+			continue
 		}
-		if err := mc.Power.Thermal.Validate(); err != nil {
-			return fmt.Errorf("platform: class %d (%q): %v", i, mc.Power.Class, err)
+		if err := mc.Power.Validate(); err != nil {
+			return fmt.Errorf("platform: class %d: %v", i, err)
 		}
 		covered += mc.Count
 	}
-	if err := c.Power.Thermal.Validate(); err != nil {
-		return fmt.Errorf("platform: %v", err)
-	}
 	if covered > c.Nodes {
 		return fmt.Errorf("platform: classes cover %d nodes but the cluster has %d", covered, c.Nodes)
+	}
+	if covered < c.Nodes && len(c.Power.PStates) > 0 {
+		// The zero-value base profile selects energy.DefaultProfile.
+		if err := c.Power.Validate(); err != nil {
+			return fmt.Errorf("platform: base profile: %v", err)
+		}
 	}
 	return nil
 }

@@ -23,8 +23,7 @@ type JobRecord struct {
 	NodeSeconds   float64
 	Flexible      bool
 	// EnergyJ is the energy attributed to the job: the integral of the
-	// draw of every node over the intervals it held that node. Zero
-	// when the controller runs without an energy accountant.
+	// draw of every node over the intervals it held that node.
 	EnergyJ float64
 	// AvgPowerW is EnergyJ over the job's execution time.
 	AvgPowerW float64
@@ -77,6 +76,7 @@ func (c *Controller) Accounting() []JobRecord {
 			LostWorkS:     j.LostWorkS,
 			Migrations:    j.Migrations,
 			MigratedS:     j.MigratedS,
+			EnergyJ:       c.cfg.Energy.JobJoules(j.ID),
 		}
 		if j.ReqClass != "" {
 			rec.ClassDemand = j.ReqClass
@@ -89,24 +89,14 @@ func (c *Controller) Accounting() []JobRecord {
 			rec.ExecSec = j.ExecTime().Seconds()
 			rec.CompletionSec = j.CompletionTime().Seconds()
 		}
-		if c.cfg.Energy != nil {
-			rec.EnergyJ = c.cfg.Energy.JobJoules(j.ID)
-			if rec.ExecSec > 0 {
-				rec.AvgPowerW = rec.EnergyJ / rec.ExecSec
-			}
-			rec.ThermalThrottledSec = c.cfg.Energy.JobThermalSec(j.ID)
+		if rec.ExecSec > 0 {
+			rec.AvgPowerW = rec.EnergyJ / rec.ExecSec
 		}
+		rec.ThermalThrottledSec = c.cfg.Energy.JobThermalSec(j.ID)
 		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
-}
-
-// thermalEnabled reports whether the controller meters nodes carrying a
-// thermal envelope (the thermal_throttled_s accounting column exists
-// only then, keeping thermal-free pipelines byte-identical).
-func (c *Controller) thermalEnabled() bool {
-	return c.cfg.Energy != nil && c.cfg.Energy.ThermalEnabled()
 }
 
 // WriteAccountingCSV dumps the accounting records as CSV. Clusters with
@@ -116,7 +106,7 @@ func (c *Controller) thermalEnabled() bool {
 // feature stay byte-identical).
 func (c *Controller) WriteAccountingCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	thermal := c.thermalEnabled()
+	thermal := c.cfg.Energy.ThermalEnabled()
 	faulty := c.cfg.Faults != nil
 	migrating := c.cfg.Migration != nil
 	header := []string{

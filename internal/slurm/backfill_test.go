@@ -3,7 +3,6 @@ package slurm
 import (
 	"testing"
 
-	"repro/internal/energy"
 	"repro/internal/sim"
 )
 
@@ -50,7 +49,6 @@ func TestReservationExcludesDrainedNodes(t *testing.T) {
 func TestBackfillAccountsWakeLatency(t *testing.T) {
 	cl := testCluster(4)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.SleepLadder = []SleepRung{{AfterIdle: 5 * sim.Second, State: 1}} // deep sleep: 30 s wake
 	c := NewController(cl, cfg)
 
@@ -84,7 +82,6 @@ func TestBackfillAccountsWakeLatency(t *testing.T) {
 func TestAllocatePrefersAwakeNodes(t *testing.T) {
 	cl := testCluster(4)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
 	c := NewController(cl, cfg)
 

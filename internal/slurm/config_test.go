@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/energy"
 	"repro/internal/sim"
 )
 
@@ -18,26 +17,20 @@ func (noPicker) Decide(*QueueView, ResizeRequest) Decision { return Decision{Act
 func TestConfigValidate(t *testing.T) {
 	const nodes = 8
 	cl := testCluster(nodes) // rejected configs panic before touching it
-	acct := energy.New(cl.K, cl.PowerProfiles())
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 		want string // "" means the config is valid
 	}{
 		{"default", func(*Config) {}, ""},
-		{"powercap without accountant", func(c *Config) { c.PowerCapW = 1000 }, "require an energy accountant"},
-		{"ladder without accountant", func(c *Config) { c.SleepLadder = DefaultSleepLadder() }, "require an energy accountant"},
-		{"elastic without accountant", func(c *Config) { c.Elastic = &ElasticConfig{} }, "require an energy accountant"},
-		{"faults without accountant", func(c *Config) { c.Faults = &stubFaults{} }, "require an energy accountant"},
-		{"negative powercap", func(c *Config) { c.Energy = acct; c.PowerCapW = -100 }, "negative"},
+		{"negative powercap", func(c *Config) { c.PowerCapW = -100 }, "negative"},
 		{"bad ladder", func(c *Config) {
-			c.Energy = acct
 			c.SleepLadder = []SleepRung{{AfterIdle: 30 * sim.Second, State: 1}, {AfterIdle: 60 * sim.Second, State: 1}}
 		}, "not deeper"},
-		{"negative elastic min", func(c *Config) { c.Energy = acct; c.Elastic = &ElasticConfig{Min: -1} }, "negative bound"},
-		{"negative elastic max", func(c *Config) { c.Energy = acct; c.Elastic = &ElasticConfig{Min: 1, Max: -1} }, "negative bound"},
-		{"inverted elastic", func(c *Config) { c.Energy = acct; c.Elastic = &ElasticConfig{Min: 6, Max: 4} }, "inverted"},
-		{"elastic min clamps to the cluster", func(c *Config) { c.Energy = acct; c.Elastic = &ElasticConfig{Min: 20, Max: nodes} }, ""},
+		{"negative elastic min", func(c *Config) { c.Elastic = &ElasticConfig{Min: -1} }, "negative bound"},
+		{"negative elastic max", func(c *Config) { c.Elastic = &ElasticConfig{Min: 1, Max: -1} }, "negative bound"},
+		{"inverted elastic", func(c *Config) { c.Elastic = &ElasticConfig{Min: 6, Max: 4} }, "inverted"},
+		{"elastic min clamps to the cluster", func(c *Config) { c.Elastic = &ElasticConfig{Min: 20, Max: nodes} }, ""},
 		{"migration without policy", func(c *Config) { c.Migration = &MigrationConfig{} }, "MigrationPicker"},
 		{"migration with a non-picker", func(c *Config) { c.Policy = noPicker{}; c.Migration = &MigrationConfig{} }, "MigrationPicker"},
 		{"migration with a picker", func(c *Config) { c.Policy = invMigPicker{}; c.Migration = &MigrationConfig{} }, ""},

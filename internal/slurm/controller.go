@@ -22,8 +22,10 @@ type Config struct {
 	// many jobs checking at once queue here — the "burst of
 	// communications" the checking inhibitor exists to avoid (§VIII-E).
 	RPCService sim.Time
-	// Energy, when non-nil, receives every node power-state transition
-	// and attributes per-job energy (the EnergyJ accounting column).
+	// Energy receives every node power-state transition and attributes
+	// per-job energy (the EnergyJ accounting column). Nil makes
+	// NewController meter with an accountant of its own; a caller that
+	// subscribes to the accountant before construction passes it here.
 	Energy *energy.Accountant
 	// SleepLadder, when non-empty, puts idle nodes to sleep: a node idle
 	// for rung.AfterIdle sinks to rung.State, stepping deeper the longer
@@ -33,7 +35,6 @@ type Config struct {
 	// slower — allocating a laddered node pays the wake latency of the
 	// rung it actually occupies, so energy-aware backfill's wake pricing
 	// and the allocator's awake-first preference face a real gradient).
-	// Requires Energy.
 	SleepLadder []SleepRung
 	// PowerCapW bounds the instantaneous cluster draw (facility power
 	// budget). Before each start the controller projects the new
@@ -41,7 +42,7 @@ type Config struct {
 	// throttles running jobs' nodes to deeper P-states (youngest job
 	// first), then starts the new job itself below P0, and finally
 	// defers the start — the cap-blocked job becomes the backfill
-	// reservation holder. Requires Energy; 0 disables capping.
+	// reservation holder. 0 disables capping.
 	PowerCapW float64
 	// ClassAware makes placement machine-class aware on heterogeneous
 	// fleets: allocations prefer faster classes, moldable starts are
@@ -56,7 +57,7 @@ type Config struct {
 	// a periodic adapt loop provisions and decommissions nodes against
 	// the configured Min/Max envelope, powered-off nodes pay a full boot
 	// on provision, and EASY reservations pre-boot the blocked job's
-	// sleeping nodes (wake-ahead). Requires Energy.
+	// sleeping nodes (wake-ahead).
 	Elastic *ElasticConfig
 	// Faults, when non-nil, attaches the fault-injection model: per-node
 	// crash chains drawn from the model's MTBF distribution, repairs
@@ -64,7 +65,7 @@ type Config struct {
 	// capped-backoff retries. Crashed nodes enter the FAILED state —
 	// outside the free pool and every allocation — until repaired, and
 	// the controller runs the recovery paths (requeue or the runtime's
-	// shrink-to-survive). Requires Energy.
+	// shrink-to-survive).
 	Faults FaultModel
 	// Migration, when non-nil, attaches the live-migration decision pass
 	// (migrate.go): a periodic pick over the running jobs relocates one
@@ -209,9 +210,6 @@ func validateLadder(ladder []SleepRung) error {
 // node count. NewController panics with the same error, so callers
 // building from user input call Validate first.
 func (cfg Config) Validate(nodes int) error {
-	if cfg.Energy == nil && (cfg.PowerCapW > 0 || len(cfg.SleepLadder) > 0 || cfg.Elastic != nil || cfg.Faults != nil) {
-		return errors.New("slurm: PowerCapW, SleepLadder, Elastic and Faults require an energy accountant")
-	}
 	if cfg.PowerCapW < 0 {
 		return fmt.Errorf("slurm: PowerCapW %g W is negative (0 disables capping)", cfg.PowerCapW)
 	}
@@ -243,6 +241,9 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 	if err := cfg.Validate(len(c.Nodes)); err != nil {
 		panic(err)
 	}
+	if cfg.Energy == nil {
+		cfg.Energy = energy.New(c.K, c.PowerProfiles())
+	}
 	ctl := &Controller{
 		cluster:   c,
 		k:         c.K,
@@ -256,9 +257,7 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 		sleepGen:  make([]int, len(c.Nodes)),
 		bootUntil: make([]sim.Time, len(c.Nodes)),
 	}
-	if cfg.Energy != nil {
-		cfg.Energy.OnThermal = ctl.onThermal
-	}
+	cfg.Energy.OnThermal = ctl.onThermal
 	ctl.eventSubs = []func(Event){func(ev Event) { ctl.built = append(ctl.built, ev) }}
 	if cfg.Elastic != nil {
 		ctl.initElastic(*cfg.Elastic)
@@ -278,7 +277,7 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 	return ctl
 }
 
-// Energy returns the attached accountant (nil when accounting is off).
+// Energy returns the controller's power accountant.
 func (c *Controller) Energy() *energy.Accountant { return c.cfg.Energy }
 
 // Config returns the configuration the controller was built with.
@@ -440,21 +439,7 @@ func (c *Controller) JobComplete(j *Job) {
 	if j.State != StateRunning {
 		panic(fmt.Sprintf("slurm: JobComplete on %v job %d", j.State, j.ID))
 	}
-	j.accumulateNodeSeconds(c.k.Now())
-	c.settleThrottle(j)
-	// A migration order the runtime never picked up dies with the job.
-	c.dropMigrationOrder(j)
-	// Detach the job before releasing: releaseNodes triggers capRestore,
-	// which must not see the completed job as a throttle victim (its
-	// nodes are idle by then; pricing a phantom restore step against
-	// them would block genuinely throttled jobs from stepping up).
-	nodes := j.alloc
-	j.alloc = nil
-	j.invalidateSpeed()
-	j.pstate = 0
-	delete(c.running, j.ID)
-	c.removeEndOrder(j)
-	c.releaseNodes(nodes)
+	nodes := c.vacate(j)
 	j.State = StateCompleted
 	j.EndTime = c.k.Now()
 	c.completed++
@@ -465,6 +450,31 @@ func (c *Controller) JobComplete(j *Job) {
 	c.sample()
 	c.armAdapt()
 	c.kick()
+}
+
+// vacate ends the job's current incarnation, the teardown completion,
+// crash requeue and migration requeue share: it settles node-seconds
+// and throttle time, drops a migration order the runtime never picked
+// up, clears the incarnation's failure hook, and releases the
+// allocation, which it returns. With the hook cleared, a crash before
+// the next incarnation's runtime registers its own takes the
+// controller's on-the-spot requeue. The job leaves the running set
+// before the release: releaseNodes triggers capRestore, which must not
+// price a phantom restore step for it against nodes that are idle by
+// then, blocking genuinely throttled jobs from stepping up.
+func (c *Controller) vacate(j *Job) []*platform.Node {
+	j.accumulateNodeSeconds(c.k.Now())
+	c.settleThrottle(j)
+	c.dropMigrationOrder(j)
+	j.OnNodeFail = nil
+	nodes := j.alloc
+	j.alloc = nil
+	j.invalidateSpeed()
+	j.pstate = 0
+	delete(c.running, j.ID)
+	c.removeEndOrder(j)
+	c.releaseNodes(nodes)
+	return nodes
 }
 
 // freeList returns the free nodes in index order (tests, debugging).
@@ -555,8 +565,8 @@ type pickEntry struct {
 //     unit of reference work): class-indifferent jobs are steered to
 //     the efficiency class, keeping the premium class free for the
 //     jobs that pinned or preferred it,
-//  4. with energy accounting attached, awake nodes before sleeping ones
-//     (no wake latency, no boot energy),
+//  4. awake nodes before sleeping ones (no wake latency, no boot
+//     energy),
 //  5. node-index order (determinism).
 //
 // Keys 1–3 are per-class properties and key 4 splits each class pool in
@@ -735,9 +745,6 @@ func (c *Controller) releaseNodes(nodes []*platform.Node) {
 // their draw to the dance target: resizer jobs are excluded from
 // accounting, and the boot energy belongs to the job that asked to grow.
 func (c *Controller) powerAllocate(j *Job, nodes []*platform.Node, ps int) sim.Time {
-	if c.cfg.Energy == nil {
-		return 0
-	}
 	chargeTo := j.ID
 	if j.Resizer && j.Dependency.Type == DepExpand {
 		chargeTo = j.Dependency.JobID
@@ -777,9 +784,6 @@ func (c *Controller) powerAllocate(j *Job, nodes []*platform.Node, ps int) sim.T
 // still inside its wake window instead keeps drawing boot power until
 // the transition completes (bootDone idles it and arms its sleep then).
 func (c *Controller) powerRelease(nodes []*platform.Node) {
-	if c.cfg.Energy == nil {
-		return
-	}
 	now := c.k.Now()
 	for _, n := range nodes {
 		if c.nodeFailed(n.Index) {
@@ -930,9 +934,6 @@ func (c *Controller) onThermal(node int, throttled bool, floor int) {
 // powerReattribute moves held nodes' draw to a different job (0 clears
 // the attribution) during the expand dance.
 func (c *Controller) powerReattribute(nodes []*platform.Node, jobID int) {
-	if c.cfg.Energy == nil {
-		return
-	}
 	for _, n := range nodes {
 		c.cfg.Energy.Reattribute(n.Index, jobID)
 	}

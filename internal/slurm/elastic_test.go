@@ -13,7 +13,6 @@ import (
 func elasticController(nodes int, el ElasticConfig, ladder []SleepRung) (*platform.Cluster, *Controller) {
 	cl := testCluster(nodes)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.SleepLadder = ladder
 	cfg.Elastic = &el
 	return cl, NewController(cl, cfg)

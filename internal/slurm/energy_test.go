@@ -15,11 +15,29 @@ import (
 func energyController(nodes int, idleSleep sim.Time) (*platform.Cluster, *Controller) {
 	cl := testCluster(nodes)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	if idleSleep > 0 {
 		cfg.SleepLadder = []SleepRung{{AfterIdle: idleSleep}}
 	}
 	return cl, NewController(cl, cfg)
+}
+
+// Every controller meters: one built from the default config, with no
+// accountant passed in, attributes a job's draw at the profile's P0.
+func TestDefaultConfigMeters(t *testing.T) {
+	cl := testCluster(2)
+	c := NewController(cl, DefaultConfig())
+	if c.Energy() == nil {
+		t.Fatal("default controller has no accountant")
+	}
+	j := c.Submit(sleeperJob(c, "metered", 1, 100*sim.Second))
+	cl.K.Run()
+	recs := c.Accounting()
+	if j.State != StateCompleted || len(recs) != 1 {
+		t.Fatalf("job %v, %d records", j.State, len(recs))
+	}
+	if got, want := recs[0].EnergyJ/recs[0].NodeSeconds, energy.DefaultProfile().ActiveW(0); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("energy per node-second %.3f W, want the P0 draw %.0f W", got, want)
+	}
 }
 
 func TestIdleNodesSleepAfterTimeout(t *testing.T) {
@@ -162,7 +180,6 @@ func TestExpandDanceOnSleepingNodesChargesTarget(t *testing.T) {
 	// charged to A, not to the internal resizer job.
 	cl := testCluster(3)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 1}}
 	c := NewController(cl, cfg)
 
@@ -245,7 +262,6 @@ func TestHeterogeneousClassesMetered(t *testing.T) {
 	}
 	cl := platform.New(cfg)
 	scfg := DefaultConfig()
-	scfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	c := NewController(cl, scfg)
 	// Job takes the first two (Xeon) nodes; the ARM pair idles.
 	j := c.Submit(sleeperJob(c, "j", 2, 100*sim.Second))

@@ -256,16 +256,7 @@ func (c *Controller) requeueFailed(j *Job) {
 	j.LostWorkS += lost
 	c.stats.Requeues++
 	c.stats.LostWorkS += lost
-	c.dropMigrationOrder(j)
-	j.accumulateNodeSeconds(now)
-	c.settleThrottle(j)
-	nodes := j.alloc
-	j.alloc = nil
-	j.invalidateSpeed()
-	j.pstate = 0
-	delete(c.running, j.ID)
-	c.removeEndOrder(j)
-	c.releaseNodes(nodes)
+	nodes := c.vacate(j)
 	j.State = StatePending
 	c.insertPending(j)
 	ev := c.jobEvent(EvRequeue, j, nodes, fmt.Sprintf("lost=%.0fs requeues=%d", lost, j.Requeues))

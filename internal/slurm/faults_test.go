@@ -57,7 +57,6 @@ func (s *stubFaults) BootRetry(int) sim.Time {
 func faultController(nodes int, fm FaultModel, mod func(*Config)) (*platform.Cluster, *Controller) {
 	cl := testCluster(nodes)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.Faults = fm
 	if mod != nil {
 		mod(&cfg)
@@ -176,6 +175,45 @@ func TestFaultCrashInWakeWindowLaunchesOncePerIncarnation(t *testing.T) {
 	}
 	if j.Requeues != 1 || launches[0] > 1 || launches[1] != 1 {
 		t.Fatalf("requeues %d, launches per incarnation %v", j.Requeues, launches)
+	}
+}
+
+// A failure hook belongs to the incarnation whose launch registered it.
+// A requeued job restarts onto a sleeping node, and that node crashes
+// inside the wake window, before the restart's launch registers a hook
+// of its own: the controller requeues on the spot instead of notifying
+// the previous incarnation's runtime, which never heard of the node.
+func TestFaultCrashInRestartWakeWindowSkipsStaleHook(t *testing.T) {
+	// Init draws: node 0 never crashes, node 1 crashes at t=80.
+	fm := &stubFaults{crash: []sim.Time{0, 80 * sim.Second}}
+	cl, c := faultController(2, fm, func(cfg *Config) {
+		cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 1}} // S1: 30 s wake
+	})
+	hooks := map[int]int{} // failure-hook calls by registering incarnation
+	j := faultSleeper(c, "restarted", 1, 100*sim.Second)
+	launch := j.Launch
+	j.Launch = func(j *Job, nodes []*platform.Node) {
+		inc := j.Incarnation
+		j.OnNodeFail = func(*Job, *platform.Node) { hooks[inc]++ }
+		launch(j, nodes)
+	}
+	// t=30: the job wakes node 0 and launches at t≈60.
+	cl.K.At(30*sim.Second, func() { c.Submit(j) })
+	// t=70: node 0 goes out of service and the job requeues, so the
+	// restart wakes node 1 (launch due at t≈100); the crash at t=80
+	// lands in that wake window.
+	cl.K.At(70*sim.Second, func() {
+		if err := c.DrainNode(0); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		c.RequeueFailed(j)
+	})
+	cl.K.Run()
+	if len(hooks) != 0 {
+		t.Fatalf("stale failure hooks called %v", hooks)
+	}
+	if j.Requeues != 2 || j.State != StateCompleted {
+		t.Fatalf("requeues %d, state %v; want 2 requeues and completion", j.Requeues, j.State)
 	}
 }
 

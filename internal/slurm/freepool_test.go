@@ -104,11 +104,9 @@ func referencePickNodes(c *Controller, j *Job, n int) []*platform.Node {
 				return ca < cb
 			}
 		}
-		if c.cfg.Energy != nil {
-			aa, ab := c.cfg.Energy.WakePreview(a.Index) == 0, c.cfg.Energy.WakePreview(b.Index) == 0
-			if aa != ab {
-				return aa
-			}
+		aa, ab := c.cfg.Energy.WakePreview(a.Index) == 0, c.cfg.Energy.WakePreview(b.Index) == 0
+		if aa != ab {
+			return aa
 		}
 		return false
 	}
@@ -135,7 +133,8 @@ func gpuProfile() energy.Profile {
 // bitmap merge against the seed implementation's stable affinity sort
 // across randomized pool states (allocations, drains, sleeping nodes)
 // and job shapes (pinned, preferring, indifferent, anchored expansions),
-// with and without ClassAware and energy accounting.
+// with and without ClassAware and an idle sleep ladder (the "+energy"
+// modes).
 func TestPickNodesMatchesReference(t *testing.T) {
 	for _, mode := range []struct {
 		name       string
@@ -162,7 +161,6 @@ func TestPickNodesMatchesReference(t *testing.T) {
 				scfg := DefaultConfig()
 				scfg.ClassAware = mode.classAware
 				if mode.energy {
-					scfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 					scfg.SleepLadder = []SleepRung{{AfterIdle: 30 * sim.Second}}
 				}
 				c := NewController(cl, scfg)

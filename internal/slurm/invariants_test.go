@@ -272,7 +272,6 @@ func runInvariantFuzz(t *testing.T, ic invConfig, seed int64) {
 	const nodes = 12
 	cl := invCluster(nodes, ic.thermal)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.ClassAware = ic.classaware
 	if ic.ladder {
 		cfg.SleepLadder = []SleepRung{

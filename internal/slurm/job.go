@@ -112,7 +112,9 @@ type Job struct {
 	// event) instead of requeueing on the spot. The handler — the nanos
 	// runtime registers one for malleable jobs — decides at the job's
 	// next synchronization point whether to shrink to the survivors
-	// (CollectFailed) or give up and requeue (RequeueFailed).
+	// (CollectFailed) or give up and requeue (RequeueFailed). The hook
+	// belongs to one incarnation: completion and both requeues clear it,
+	// so a restart's launch registers its own.
 	OnNodeFail func(j *Job, n *platform.Node)
 
 	// Fault-recovery bookkeeping. ProtectedAt is the restart point a

@@ -14,7 +14,6 @@ import (
 func ladderController(nodes int, ladder []SleepRung) (*platform.Cluster, *Controller) {
 	cl := testCluster(nodes)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.SleepLadder = ladder
 	return cl, NewController(cl, cfg)
 }
@@ -138,7 +137,6 @@ func TestLadderRestartsAfterAllocation(t *testing.T) {
 func TestOneRungLadderDropsOnceAndHolds(t *testing.T) {
 	cl := testCluster(2)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.SleepLadder = []SleepRung{{AfterIdle: 30 * sim.Second, State: 1}}
 	c := NewController(cl, cfg)
 	cl.K.RunUntil(31 * sim.Second)
@@ -151,18 +149,6 @@ func TestOneRungLadderDropsOnceAndHolds(t *testing.T) {
 	if a.SStateOf(0) != 1 {
 		t.Fatalf("S%d after an hour", a.SStateOf(0))
 	}
-}
-
-func TestSleepLadderRequiresEnergy(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SleepLadder without an accountant did not panic")
-		}
-	}()
-	cl := testCluster(1)
-	cfg := DefaultConfig()
-	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 0}}
-	NewController(cl, cfg)
 }
 
 // thermalCluster builds a cluster whose nodes carry the test envelope
@@ -182,7 +168,6 @@ func thermalCluster(nodes int) *platform.Cluster {
 func TestThermalThrottleAccountedToJob(t *testing.T) {
 	cl := thermalCluster(2)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	c := NewController(cl, cfg)
 	var throttled []int
 	c.SubscribeEvents(func(ev Event) {
@@ -243,7 +228,6 @@ func TestAccountingCSVOmitsThermalColumnWhenDisabled(t *testing.T) {
 func TestThermalFloorRepricesJobSpeed(t *testing.T) {
 	cl := thermalCluster(1)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	c := NewController(cl, cfg)
 	j := c.Submit(sleeperJob(c, "hot", 1, 1000*sim.Second))
 	cl.K.RunUntil(100 * sim.Second)

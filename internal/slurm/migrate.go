@@ -168,22 +168,12 @@ func (c *Controller) MigrateRequeue(j *Job) {
 	if ord == nil {
 		return
 	}
-	delete(m.orders, j.ID)
-	now := c.k.Now()
 	j.Incarnation++
 	j.Migrations++
 	j.MigratedS += ord.cost.Seconds()
 	c.stats.Migrations++
 	c.stats.MigratedS += ord.cost.Seconds()
-	j.accumulateNodeSeconds(now)
-	c.settleThrottle(j)
-	nodes := j.alloc
-	j.alloc = nil
-	j.invalidateSpeed()
-	j.pstate = 0
-	delete(c.running, j.ID)
-	c.removeEndOrder(j)
-	c.releaseNodes(nodes)
+	nodes := c.vacate(j)
 	// Pin the restart: ReqClass makes every scheduler path place the job
 	// on the destination class only; startJob clears the pin (the job
 	// submitted unconstrained — candidates always have ReqClass == "").

@@ -30,7 +30,6 @@ func TestMigrateViewAccessors(t *testing.T) {
 	var checked bool
 	p := &viewPicker{}
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.Policy = p
 	cfg.Migration = &MigrationConfig{Interval: 30 * sim.Second}
 	c := NewController(cl, cfg)
@@ -120,7 +119,6 @@ func TestMigrateOrderExecutesAndRestarts(t *testing.T) {
 	ordered := false
 	p := &viewPicker{}
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.Policy = p
 	cfg.Migration = &MigrationConfig{Interval: 30 * sim.Second}
 	c := NewController(cl, cfg)
@@ -218,7 +216,6 @@ func TestMigrateRequeueIgnoresUnordered(t *testing.T) {
 		return MigrationDecision{}, false
 	}}
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.Policy = p
 	cfg.Migration = &MigrationConfig{Interval: 30 * sim.Second}
 	c := NewController(cl, cfg)

@@ -36,7 +36,7 @@ func (c *Controller) DrainNode(index int) error {
 	// resume inside the window hands the pool a booting node, not an
 	// awake one (allocating it twice under its wake latency was the
 	// mid-boot state hole).
-	if c.cfg.Energy != nil && !c.isOffline(index) && !c.nodeFailed(index) {
+	if !c.isOffline(index) && !c.nodeFailed(index) {
 		c.sleepGen[index]++
 		if w := c.cfg.Energy.StartBoot(index); w > 0 {
 			c.bootUntil[index] = c.k.Now() + w

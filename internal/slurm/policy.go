@@ -165,9 +165,6 @@ func (v *QueueView) ExpandSpeedPreview(extra int) (cur, grown, fastest float64) 
 // until their sleep timeout anyway, so spending them on throughput is
 // cheap. Waking sleeping hardware for an opportunistic expansion is not.
 func (v *QueueView) ExpandWakesNodes(extra int) bool {
-	if v.ctl.cfg.Energy == nil {
-		return false
-	}
 	if pool := v.ctl.freeFor(v.job); extra > pool {
 		extra = pool
 	}

@@ -197,10 +197,8 @@ func (c *Controller) jobSpeed(j *Job) float64 {
 	speed := 1.0
 	for _, n := range j.alloc {
 		ps := j.pstate
-		if c.cfg.Energy != nil {
-			if f := c.cfg.Energy.ThermalFloor(n.Index); f > ps {
-				ps = f
-			}
+		if f := c.cfg.Energy.ThermalFloor(n.Index); f > ps {
+			ps = f
 		}
 		if s := n.Power.SpeedAt(ps); s < speed {
 			speed = s

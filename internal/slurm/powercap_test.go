@@ -227,19 +227,6 @@ func TestNoCapNoThrottle(t *testing.T) {
 	}
 }
 
-// A power cap without an energy accountant is a configuration error.
-func TestPowerCapRequiresEnergy(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewController accepted PowerCapW without Energy")
-		}
-	}()
-	cl := testCluster(2)
-	cfg := DefaultConfig()
-	cfg.PowerCapW = 1000
-	NewController(cl, cfg)
-}
-
 // The backfill pass never throttles running work: an opportunistic job
 // that does not fit under the cap at P0 simply waits.
 func TestBackfillDoesNotThrottleForOpportunisticJobs(t *testing.T) {

@@ -319,13 +319,9 @@ func (c *Controller) classClampSize(j *Job, n int) int {
 // run at: the class P0 speed, lowered by any thermal P-state floor the
 // node still carries from its previous occupant (the envelope belongs
 // to the machine, and a hot node allocates at its floor). Identical to
-// nd.Speed() without an energy accountant or thermal envelope.
+// nd.Speed() without a thermal envelope.
 func (c *Controller) nodeStartSpeed(nd *platform.Node) float64 {
-	ps := 0
-	if c.cfg.Energy != nil {
-		ps = c.cfg.Energy.ThermalFloor(nd.Index)
-	}
-	return nd.Power.SpeedAt(ps)
+	return nd.Power.SpeedAt(c.cfg.Energy.ThermalFloor(nd.Index))
 }
 
 // wakePreview bounds the launch delay an allocation of free node nd
@@ -352,10 +348,8 @@ func (c *Controller) backfillEnd(j *Job, n int) sim.Time {
 	var wake sim.Time
 	speed := 1.0
 	for _, nd := range c.pickNodes(j, n) {
-		if c.cfg.Energy != nil {
-			if w := c.wakePreview(nd); w > wake {
-				wake = w
-			}
+		if w := c.wakePreview(nd); w > wake {
+			wake = w
 		}
 		if s := c.nodeStartSpeed(nd); s < speed {
 			speed = s

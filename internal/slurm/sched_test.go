@@ -67,7 +67,6 @@ func TestStartSizeBoundaries(t *testing.T) {
 func TestFreePoolsWithDrainedAndSleeping(t *testing.T) {
 	cl := mixedTestCluster(2, 2)
 	cfg := DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
 	c := NewController(cl, cfg)
 

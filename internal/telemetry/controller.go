@@ -94,11 +94,11 @@ type tally struct {
 }
 
 // Attach subscribes s to the controller's events and samples, and to
-// acct's power samples when acct is non-nil: it registers the
-// controller instruments and names the trace tracks. Attach a sink to
-// one controller, right after building it; Flush closes the record once
-// the run has drained.
-func (s *Sink) Attach(ctl *slurm.Controller, acct *energy.Accountant) {
+// its accountant's power samples: it registers the controller
+// instruments and names the trace tracks. Attach a sink to one
+// controller, right after building it; Flush closes the record once the
+// run has drained.
+func (s *Sink) Attach(ctl *slurm.Controller) {
 	if s.ctl != nil {
 		panic("telemetry: sink already attached to a controller")
 	}
@@ -114,7 +114,7 @@ func (s *Sink) Attach(ctl *slurm.Controller, acct *energy.Accountant) {
 	el, fl, mg := feature(cfg.Elastic != nil), feature(cfg.Faults != nil), feature(cfg.Migration != nil)
 	o := &ctlObserver{
 		ctl:            ctl,
-		acct:           acct,
+		acct:           ctl.Energy(),
 		tr:             s.Trace,
 		reg:            reg,
 		eventsEmitted:  reg.Counter("events_emitted_total"),
@@ -166,10 +166,8 @@ func (s *Sink) Attach(ctl *slurm.Controller, acct *energy.Accountant) {
 	}
 	s.ctl = o
 	o.fleetNodes.Set(float64(ctl.FleetNodes()))
-	if acct != nil {
-		power := reg.Gauge("cluster_power_w")
-		acct.SubscribePowerSamples(func(_ sim.Time, w float64) { power.Set(w) })
-	}
+	power := reg.Gauge("cluster_power_w")
+	o.acct.SubscribePowerSamples(func(_ sim.Time, w float64) { power.Set(w) })
 	tr := s.Trace
 	tr.MetaProcess(tracePidSched, "scheduler")
 	tr.MetaProcess(tracePidJobs, "jobs")

@@ -30,13 +30,12 @@ func testCluster(nodes int, thermal bool) *platform.Cluster {
 // config) with a fresh sink attached.
 func attached(cl *platform.Cluster, mod func(*slurm.Config)) (*slurm.Controller, *Sink) {
 	cfg := slurm.DefaultConfig()
-	cfg.Energy = energy.New(cl.K, cl.PowerProfiles())
 	if mod != nil {
 		mod(&cfg)
 	}
 	c := slurm.NewController(cl, cfg)
 	s := New()
-	s.Attach(c, cfg.Energy)
+	s.Attach(c)
 	return c, s
 }
 
@@ -388,5 +387,5 @@ func TestAttachTwicePanics(t *testing.T) {
 			t.Fatal("second Attach did not panic")
 		}
 	}()
-	s.Attach(c, nil)
+	s.Attach(c)
 }
