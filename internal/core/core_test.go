@@ -247,7 +247,8 @@ func TestEfficiencyClassStretchesRuntime(t *testing.T) {
 	slowRes := RunWorkload(slow, []workload.Spec{spec})
 
 	ratio := slowRes.AvgExec.Seconds() / fast.AvgExec.Seconds()
-	want := 1 / energy.EfficiencyProfile().SpeedAt(0)
+	prof := energy.EfficiencyProfile()
+	want := 1 / prof.SpeedAt(0)
 	if math.Abs(ratio-want) > 0.02 {
 		t.Fatalf("efficiency-class stretch %.3fx, want ≈%.3fx", ratio, want)
 	}
@@ -267,7 +268,8 @@ func TestPowerCapThrottleStretchesRuntime(t *testing.T) {
 	cappedRes := RunWorkload(capped, []workload.Spec{spec})
 
 	ratio := cappedRes.AvgExec.Seconds() / free.AvgExec.Seconds()
-	want := 1 / energy.DefaultProfile().SpeedAt(1)
+	prof := energy.DefaultProfile()
+	want := 1 / prof.SpeedAt(1)
 	if math.Abs(ratio-want) > 0.02 {
 		t.Fatalf("throttled stretch %.3fx, want ≈%.3fx", ratio, want)
 	}

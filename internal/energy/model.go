@@ -112,28 +112,28 @@ func (p Profile) Validate() error {
 
 // ActiveW returns the draw at P-state ps, clamping out-of-range indices
 // to the nearest defined state.
-func (p Profile) ActiveW(ps int) float64 { return p.PStates[p.clampP(ps)].PowerW }
+func (p *Profile) ActiveW(ps int) float64 { return p.PStates[p.clampP(ps)].PowerW }
 
 // SpeedAt returns the relative execution speed at P-state ps.
-func (p Profile) SpeedAt(ps int) float64 { return p.PStates[p.clampP(ps)].Speed }
+func (p *Profile) SpeedAt(ps int) float64 { return p.PStates[p.clampP(ps)].Speed }
 
 // SleepW returns the draw at S-state ss, clamping out-of-range indices.
-func (p Profile) SleepW(ss int) float64 { return p.SStates[p.clampS(ss)].PowerW }
+func (p *Profile) SleepW(ss int) float64 { return p.SStates[p.clampS(ss)].PowerW }
 
 // WakeLatency returns the wake latency from S-state ss.
-func (p Profile) WakeLatency(ss int) sim.Time { return p.SStates[p.clampS(ss)].WakeLatency }
+func (p *Profile) WakeLatency(ss int) sim.Time { return p.SStates[p.clampS(ss)].WakeLatency }
 
 // BootDelay returns the full-boot time from the powered-off state:
 // BootLatency when set, otherwise twice the deepest S-state's wake
 // latency — off is strictly below the deepest sleep rung.
-func (p Profile) BootDelay() sim.Time {
+func (p *Profile) BootDelay() sim.Time {
 	if p.BootLatency != 0 {
 		return p.BootLatency
 	}
 	return 2 * p.SStates[len(p.SStates)-1].WakeLatency
 }
 
-func (p Profile) clampP(i int) int {
+func (p *Profile) clampP(i int) int {
 	if i < 0 {
 		return 0
 	}
@@ -143,7 +143,7 @@ func (p Profile) clampP(i int) int {
 	return i
 }
 
-func (p Profile) clampS(i int) int {
+func (p *Profile) clampS(i int) int {
 	if i < 0 {
 		return 0
 	}

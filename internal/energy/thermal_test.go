@@ -127,8 +127,9 @@ func TestThermalThrottleAndRestore(t *testing.T) {
 	if f := a.ThermalFloor(0); f != 1 {
 		t.Fatalf("floor %d after crossing, want 1 (P1 settles below the envelope)", f)
 	}
-	if s := a.Speed(0); s != thermalProfile().SpeedAt(1) {
-		t.Fatalf("throttled speed %.2f, want P1's %.2f", s, thermalProfile().SpeedAt(1))
+	prof := thermalProfile()
+	if s := a.Speed(0); s != prof.SpeedAt(1) {
+		t.Fatalf("throttled speed %.2f, want P1's %.2f", s, prof.SpeedAt(1))
 	}
 	// P1 equilibrates at 90 °C — above restore, so the floor holds.
 	k.RunUntil(2 * sim.Hour)
@@ -231,8 +232,9 @@ func TestThermalFloorSurvivesReallocation(t *testing.T) {
 	if a.ThermalFloor(0) != 1 {
 		t.Fatal("reallocation reset the thermal floor")
 	}
-	if s := a.Speed(0); s != thermalProfile().SpeedAt(1) {
-		t.Fatalf("hot node runs the new job at %.2f, want the floor's %.2f", s, thermalProfile().SpeedAt(1))
+	prof := thermalProfile()
+	if s := a.Speed(0); s != prof.SpeedAt(1) {
+		t.Fatalf("hot node runs the new job at %.2f, want the floor's %.2f", s, prof.SpeedAt(1))
 	}
 }
 

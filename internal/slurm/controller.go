@@ -134,10 +134,13 @@ type Controller struct {
 	// migration is the live-migration state (nil: jobs never move).
 	migration *migrationState
 
-	// pick is the pass-scoped placement cache: pickNodes answers for one
-	// job at one pool version, shared by classClampSize, backfillEnd,
-	// capAdmit/capFits and startJob instead of four independent merges.
+	// pick caches one affinity ordering per placement variant at the
+	// current pool version: classClampSize, backfillEnd, capAdmit/capFits,
+	// the QueueView previews and startJob all read prefixes of it. pass
+	// counts scheduling passes; the orderings' prefix aggregates are
+	// priced for one pass.
 	pick pickCache
+	pass uint64
 
 	// passQueue is a scratch buffer reused across scheduling passes to
 	// keep the hot path allocation-free.
@@ -522,32 +525,60 @@ func (c *Controller) pickAnchor(j *Job) (float64, bool) {
 	return min, true
 }
 
-// pickSig is everything about a job that a placement answer depends on:
-// its hard and soft class demands and its anchor class. Two pending jobs
-// with equal signatures receive identical picks, so the cache is keyed
-// by signature, not job — a backfill scan over thousands of candidates
-// collapses to one merge per (signature, width) between pool mutations.
-type pickSig struct {
+// pickVariant is one resolved placement order: the hard class the job
+// is pinned to, the soft preference when it is honoured ("" otherwise)
+// and the anchor speed class. Allocations with equal variants receive
+// the same affinity order and differ only in how much of it they take.
+type pickVariant struct {
 	req, pref string
 	anchor    float64
 	anchored  bool
 }
 
-// pickCache memoizes pickNodes answers at one free-pool version. One
-// scheduling candidate probes the same width several times —
-// classClampSize, backfillEnd, capAdmit, then startJob — and a moldable
-// probe walks adjacent widths; every mutation that could change an
-// answer bumps the pool version and drops the cache. The handful of live
-// signatures and widths makes linear scans cheaper than maps.
-type pickCache struct {
-	version uint64
-	entries []pickEntry
+// pickOrder is one variant's affinity ordering of the eligible free
+// nodes at one pool version; pickNodes(j, n) is its n-prefix. It is
+// merged lazily, only as deep as the widest prefix asked for: tier is
+// the first ranked class of the tier being merged, part the awake,
+// booting or asleep bitmaps within it, next the node index to resume
+// from.
+//
+// The prefix aggregates price the first m nodes in slot m-1: wake is
+// the worst launch delay (wakePreview), speed the slowest start speed
+// (nodeStartSpeed), take the count of takeClass's nodes. Wake remainders
+// depend on the clock, and sleep rungs and thermal floors move without
+// a pool-version bump, so the aggregates belong to one schedulePass
+// (pass) and are rebuilt, lazily again, by the next.
+type pickOrder struct {
+	v                pickVariant
+	nodes            []*platform.Node
+	tier, part, next int
+
+	pass      uint64
+	wake      []sim.Time
+	speed     []float64
+	takeClass string
+	take      []int
 }
 
-type pickEntry struct {
-	sig  pickSig
-	ns   []int
-	sets [][]*platform.Node
+// pickCache holds the orderings built at one free-pool version; every
+// mutation that could change a placement answer bumps the version and
+// retires them. orders[:live] are current. A retired struct is reused
+// for its aggregate buffers but never for its nodes: callers read the
+// prefixes they were handed (QueueView, capAdmit, capFits), so each
+// ordering's node slice is freshly allocated. The handful of live
+// variants makes a linear scan cheaper than a map.
+type pickCache struct {
+	version uint64
+	live    int
+	orders  []*pickOrder
+	rank    []tierClass // rankClasses scratch
+	sets    []bitset    // extendOrder scratch: one tier's bitmaps
+}
+
+// tierClass is one eligible class pool under a variant's ranking keys.
+type tierClass struct {
+	cp          *classPool
+	pref, anchr bool
 }
 
 // pickNodes returns the n free nodes an allocation for job j would
@@ -565,136 +596,153 @@ type pickEntry struct {
 //     unit of reference work): class-indifferent jobs are steered to
 //     the efficiency class, keeping the premium class free for the
 //     jobs that pinned or preferred it,
-//  4. awake nodes before sleeping ones (no wake latency, no boot
-//     energy),
+//  4. awake nodes before booting ones before sleeping ones (no wake
+//     latency, a remainder of one, a full rung),
 //  5. node-index order (determinism).
 //
 // Keys 1–3 are per-class properties and key 4 splits each class pool in
-// two, so instead of sorting the whole pool the pick orders the class
+// three, so instead of sorting the whole pool the pick ranks the class
 // tiers and merges their index-sorted bitmaps — the same order the
-// stable affinity sort produced, at O(n) per answer.
+// stable affinity sort produced. The answer is a prefix of the cached
+// ordering (pickOrderFor); callers must not modify it.
 func (c *Controller) pickNodes(j *Job, n int) []*platform.Node {
-	sig := pickSig{}
-	if j != nil {
-		sig.req, sig.pref = j.ReqClass, j.PrefClass
-	}
-	sig.anchor, sig.anchored = c.pickAnchor(j)
-	if c.pick.version != c.pool.version {
-		c.pick.version = c.pool.version
-		c.pick.entries = c.pick.entries[:0]
-	}
-	var e *pickEntry
-	for i := range c.pick.entries {
-		if c.pick.entries[i].sig == sig {
-			e = &c.pick.entries[i]
-			break
-		}
-	}
-	if e == nil {
-		c.pick.entries = append(c.pick.entries, pickEntry{sig: sig})
-		e = &c.pick.entries[len(c.pick.entries)-1]
-	}
-	for i, cached := range e.ns {
-		if cached == n {
-			c.stats.PickHits++
-			return e.sets[i]
-		}
-	}
-	c.stats.PickMisses++
-	nodes := c.pickNodesUncached(j, n, sig)
-	e.ns = append(e.ns, n)
-	e.sets = append(e.sets, nodes)
-	return nodes
+	return c.pickOrderFor(j, n).nodes[:n:n]
 }
 
-func (c *Controller) pickNodesUncached(j *Job, n int, sig pickSig) []*platform.Node {
-	elig := c.pool.eligibleClasses(j)
-	total := 0
-	for _, cp := range elig {
-		total += cp.count()
-	}
-	if n > total {
+// pickOrderFor resolves the variant an n-node allocation for j receives
+// and returns its ordering, merged at least n deep. Keys 1 and 2 depend
+// on the width: the preference holds only when all n nodes fit the
+// preferred class, and a fresh ClassAware start without one anchors to
+// the class of the n-th node of its unanchored order — the priciest node
+// the width cannot avoid. A job that must dip beyond the efficiency
+// class thereby goes pure at the dip class instead of mixing: a mixed
+// allocation runs every node at the slowest rank's pace, the worst point
+// of the energy/makespan trade-off.
+func (c *Controller) pickOrderFor(j *Job, n int) *pickOrder {
+	if total := c.pool.countFor(j); n > total {
 		panic(fmt.Sprintf("slurm: allocating %d of %d eligible free nodes", n, total))
 	}
-	if n == 0 {
-		return []*platform.Node{}
-	}
-	pref := ""
-	if sig.pref != "" && (sig.req == "" || sig.req == sig.pref) {
-		if cp := c.pool.byClass[sig.pref]; cp != nil && cp.count() >= n {
-			pref = sig.pref
+	var v pickVariant
+	v.anchor, v.anchored = c.pickAnchor(j)
+	if j != nil {
+		v.req = j.ReqClass
+		if pref := j.PrefClass; pref != "" && (v.req == "" || v.req == pref) {
+			if cp := c.pool.class(pref); cp != nil && cp.count() >= n {
+				v.pref = pref
+			}
 		}
 	}
-	anchor, anchored := sig.anchor, sig.anchored
-	out := c.mergePick(elig, n, pref, anchor, anchored)
-	if c.cfg.ClassAware && !anchored && pref == "" {
-		// Fresh start without a preference: the cheapest-first pick
-		// fixes which classes the width must touch — out[n-1] is the
-		// priciest node it cannot avoid. Re-anchor to that class and
-		// re-merge, so a job that must dip beyond the efficiency class
-		// goes pure at the dip class instead of mixing: a mixed
-		// allocation runs every node at the slowest rank's pace, the
-		// worst point of the energy/makespan trade-off.
-		out = c.mergePick(elig, n, pref, out[n-1].Speed(), true)
+	if c.cfg.ClassAware && !v.anchored && v.pref == "" && n > 0 {
+		u := c.variantOrder(v, false)
+		c.extendOrder(u, n)
+		v.anchor, v.anchored = u.nodes[n-1].Speed(), true
 	}
-	return out
+	o := c.variantOrder(v, true)
+	c.extendOrder(o, n)
+	return o
 }
 
-// mergePick materializes the affinity order: class pools are ranked by
-// the job-specific keys (preference, anchor match, energy per work);
-// pools comparing equal form one tier whose nodes interleave by
-// awake-before-sleeping then index — the stable sort's tie-break order.
-func (c *Controller) mergePick(elig []*classPool, n int, pref string, anchor float64, anchored bool) []*platform.Node {
-	type tierClass struct {
-		cp          *classPool
-		pref, anchr bool
+// variantOrder returns variant v's ordering at the current pool version,
+// starting an empty one when there is none. count tallies the lookup in
+// Stats as an ordering reused (PickHits) or built (PickMisses).
+func (c *Controller) variantOrder(v pickVariant, count bool) *pickOrder {
+	pc := &c.pick
+	if pc.version != c.pool.version {
+		pc.version, pc.live = c.pool.version, 0
 	}
-	ranked := make([]tierClass, len(elig))
-	for i, cp := range elig {
-		ranked[i] = tierClass{cp: cp, pref: cp.class == pref, anchr: anchored && cp.speed == anchor}
+	for _, o := range pc.orders[:pc.live] {
+		if o.v == v {
+			if count {
+				c.stats.PickHits++
+			}
+			return o
+		}
 	}
-	less := func(a, b tierClass) bool {
-		if pref != "" && a.pref != b.pref {
-			return a.pref
-		}
-		if anchored && a.anchr != b.anchr {
-			return a.anchr
-		}
-		if c.cfg.ClassAware && a.cp.epw != b.cp.epw {
-			return a.cp.epw < b.cp.epw
-		}
-		return false
+	if count {
+		c.stats.PickMisses++
 	}
-	sort.SliceStable(ranked, func(a, b int) bool { return less(ranked[a], ranked[b]) })
+	if pc.live == len(pc.orders) {
+		pc.orders = append(pc.orders, &pickOrder{})
+	}
+	o := pc.orders[pc.live]
+	pc.live++
+	*o = pickOrder{v: v, wake: o.wake[:0], speed: o.speed[:0], take: o.take[:0]}
+	return o
+}
 
-	out := make([]*platform.Node, 0, n)
-	awake := make([]bitset, 0, len(ranked))
-	booting := make([]bitset, 0, len(ranked))
-	asleep := make([]bitset, 0, len(ranked))
-	for lo := 0; lo < len(ranked) && len(out) < n; {
-		hi := lo + 1
-		for hi < len(ranked) && !less(ranked[lo], ranked[hi]) {
+// rankClasses orders j's eligible class pools by variant v's keys
+// (preference, anchor match, energy per work), stably: pools comparing
+// equal keep first-seen order and form one tier, whose nodes interleave
+// by awake-booting-asleep then index — the stable sort's tie-break
+// order. The result is scratch, valid until the next call.
+func (c *Controller) rankClasses(v pickVariant) []tierClass {
+	r := c.pick.rank[:0]
+	for _, cp := range c.pool.classes {
+		if v.req != "" && cp.class != v.req {
+			continue
+		}
+		tc := tierClass{cp: cp, pref: cp.class == v.pref, anchr: v.anchored && cp.speed == v.anchor}
+		i := len(r)
+		r = append(r, tc)
+		for ; i > 0 && c.tierLess(v, tc, r[i-1]); i-- {
+			r[i] = r[i-1]
+		}
+		r[i] = tc
+	}
+	c.pick.rank = r
+	return r
+}
+
+// tierLess is rankClasses' order.
+func (c *Controller) tierLess(v pickVariant, a, b tierClass) bool {
+	if v.pref != "" && a.pref != b.pref {
+		return a.pref
+	}
+	if v.anchored && a.anchr != b.anchr {
+		return a.anchr
+	}
+	if c.cfg.ClassAware && a.cp.epw != b.cp.epw {
+		return a.cp.epw < b.cp.epw
+	}
+	return false
+}
+
+// extendOrder merges o's affinity order out to at least n nodes,
+// resuming where the previous extension stopped (the pool has not moved
+// since: a mutation retires the ordering).
+func (c *Controller) extendOrder(o *pickOrder, n int) {
+	if len(o.nodes) >= n {
+		return
+	}
+	if o.nodes == nil {
+		o.nodes = make([]*platform.Node, 0, n)
+	}
+	ranked := c.rankClasses(o.v)
+	for o.tier < len(ranked) && len(o.nodes) < n {
+		hi := o.tier + 1
+		for hi < len(ranked) && !c.tierLess(o.v, ranked[o.tier], ranked[hi]) {
 			hi++
 		}
-		awake, booting, asleep = awake[:0], booting[:0], asleep[:0]
-		for _, tc := range ranked[lo:hi] {
-			awake = append(awake, tc.cp.awake)
-			booting = append(booting, tc.cp.booting)
-			asleep = append(asleep, tc.cp.asleep)
+		sets := c.pick.sets[:0]
+		for _, tc := range ranked[o.tier:hi] {
+			sets = append(sets, tc.cp.part(o.part))
 		}
-		// Awake first (no launch delay), then mid-boot nodes (the
-		// remaining transition is at most a full wake), sleeping last.
-		out = c.pool.appendMerged(out, awake, n)
-		out = c.pool.appendMerged(out, booting, n)
-		out = c.pool.appendMerged(out, asleep, n)
-		lo = hi
+		c.pick.sets = sets
+		o.nodes, o.next = c.pool.appendMerged(o.nodes, sets, o.next, n)
+		if o.next == len(sets[0])<<6 {
+			o.part, o.next = o.part+1, 0
+			if o.part == parts {
+				o.tier, o.part = hi, 0
+			}
+		}
 	}
-	return out
 }
 
-// allocateNodes takes n nodes from the free pool in pickNodes order.
+// allocateNodes takes n nodes from the free pool in pickNodes order. It
+// copies the committed prefix: the allocation outlives the ordering, and
+// must not pin the rest of its node slice.
 func (c *Controller) allocateNodes(j *Job, n int) []*platform.Node {
-	nodes := c.pickNodes(j, n)
+	nodes := append(make([]*platform.Node, 0, n), c.pickNodes(j, n)...)
 	for _, nd := range nodes {
 		c.pool.remove(nd.Index)
 		c.owner[nd.Index] = j.ID

@@ -35,7 +35,8 @@ func TestDefaultConfigMeters(t *testing.T) {
 	if j.State != StateCompleted || len(recs) != 1 {
 		t.Fatalf("job %v, %d records", j.State, len(recs))
 	}
-	if got, want := recs[0].EnergyJ/recs[0].NodeSeconds, energy.DefaultProfile().ActiveW(0); math.Abs(got-want) > 1e-9 {
+	prof := energy.DefaultProfile()
+	if got, want := recs[0].EnergyJ/recs[0].NodeSeconds, prof.ActiveW(0); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("energy per node-second %.3f W, want the P0 draw %.0f W", got, want)
 	}
 }
@@ -54,7 +55,8 @@ func TestIdleNodesSleepAfterTimeout(t *testing.T) {
 	before := c.Energy().TotalJoules()
 	cl.K.RunUntil(1031 * sim.Second)
 	got := c.Energy().TotalJoules() - before
-	want := 4 * energy.DefaultProfile().SleepW(0) * 1000
+	prof := energy.DefaultProfile()
+	want := 4 * prof.SleepW(0) * 1000
 	if math.Abs(got-want) > 1 {
 		t.Fatalf("sleeping cluster burned %.1f J over 1000 s, want %.1f J", got, want)
 	}
@@ -90,7 +92,8 @@ func TestWakeDelaysLaunch(t *testing.T) {
 	}
 	// ExecTime spans wake + 20 s of work: the launch was delayed by the
 	// shallow-sleep wake latency.
-	wake := energy.DefaultProfile().WakeLatency(0)
+	prof := energy.DefaultProfile()
+	wake := prof.WakeLatency(0)
 	if got := j.ExecTime(); got != 20*sim.Second+wake {
 		t.Fatalf("exec time %v, want %v", got, 20*sim.Second+wake)
 	}
@@ -266,7 +269,8 @@ func TestHeterogeneousClassesMetered(t *testing.T) {
 	// Job takes the first two (Xeon) nodes; the ARM pair idles.
 	j := c.Submit(sleeperJob(c, "j", 2, 100*sim.Second))
 	cl.K.Run()
-	want := 2 * energy.DefaultProfile().ActiveW(0) * 100
+	prof := energy.DefaultProfile()
+	want := 2 * prof.ActiveW(0) * 100
 	if got := c.Energy().JobJoules(j.ID); math.Abs(got-want) > 1 {
 		t.Fatalf("job on Xeon pair: %.1f J, want %.1f J", got, want)
 	}

@@ -125,8 +125,10 @@ type Event struct {
 type Stats struct {
 	// Scheduling: passes (one PASS event each), starts by the priority
 	// pass and by EASY backfill, backfill candidates examined, placement
-	// answers served from the pass-scoped cache or computed, and
-	// free-pool membership changes.
+	// lookups that reused a cached affinity ordering (PickHits) or built
+	// a new one (PickMisses) — one ordering per placement variant and
+	// free-pool version serves every width — and free-pool membership
+	// changes.
 	Passes, MainStarts, BackfillStarts, BackfillScanned int
 	PickHits, PickMisses, FreePoolOps                   int
 	// Power cap: starts admitted at P0 or below it, starts deferred, and

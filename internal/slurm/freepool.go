@@ -12,15 +12,18 @@ import (
 // every release re-sorted the slice. At thousand-node fleet sizes those
 // O(N log N) passes dominate the simulation. The pool below keeps the
 // same information factored by machine class: per-class bitmaps of free
-// node indices, split into awake and sleeping halves. Class counts make
-// freeFor O(1), membership updates are O(1) bit flips, and pickNodes
-// becomes a k-way merge of index-ordered bitmaps (k = number of machine
-// classes, nearly always ≤ 3) that reproduces the affinity sort's order
-// bit for bit — see Controller.pickNodes.
+// node indices, split into awake, booting and sleeping parts. Class
+// counts make freeFor a scan of the (nearly always ≤ 3) classes,
+// membership updates are O(1) bit flips, and an affinity ordering
+// becomes a k-way merge of index-ordered bitmaps that reproduces the
+// affinity sort's order bit for bit — see Controller.pickNodes.
 //
 // A version counter increments on every mutation that can change a
-// placement answer; the controller's pass-scoped pickNodes cache keys on
-// it.
+// placement answer. The controller caches one ordering per placement
+// variant at the current version, merged only as deep as asked, and
+// answers every width with a prefix of it; the orderings' prefix
+// aggregates price a candidate width in one slot instead of a walk over
+// its nodes (Controller.backfillEnd).
 
 // bitset is a bitmap over node indices.
 type bitset []uint64
@@ -51,12 +54,27 @@ type classPool struct {
 
 func (cp *classPool) count() int { return cp.nAwake + cp.nBooting + cp.nAsleep }
 
+// parts is the number of bitmaps a class pool splits its nodes into.
+const parts = 3
+
+// part returns the pool's bitmap of affinity rank h: awake first (no
+// launch delay), then mid-boot nodes (the remaining transition is at
+// most a full wake), sleeping last.
+func (cp *classPool) part(h int) bitset {
+	switch h {
+	case 0:
+		return cp.awake
+	case 1:
+		return cp.booting
+	}
+	return cp.asleep
+}
+
 // freePool is the controller's indexed view of unallocated nodes.
 type freePool struct {
 	nodes   []*platform.Node // all cluster nodes, by index
 	classes []*classPool     // first-seen node-index order
-	byClass map[string]*classPool
-	byNode  []*classPool // node index -> its class pool
+	byNode  []*classPool     // node index -> its class pool
 	total   int
 	version uint64
 	ops     int // membership mutations (Stats.FreePoolOps)
@@ -66,12 +84,11 @@ type freePool struct {
 // start powered-on idle).
 func newFreePool(nodes []*platform.Node) *freePool {
 	p := &freePool{
-		nodes:   nodes,
-		byClass: make(map[string]*classPool),
-		byNode:  make([]*classPool, len(nodes)),
+		nodes:  nodes,
+		byNode: make([]*classPool, len(nodes)),
 	}
 	for _, nd := range nodes {
-		cp := p.byClass[nd.Class()]
+		cp := p.class(nd.Class())
 		if cp == nil {
 			cp = &classPool{
 				class:   nd.Class(),
@@ -81,7 +98,6 @@ func newFreePool(nodes []*platform.Node) *freePool {
 				booting: newBitset(len(nodes)),
 				asleep:  newBitset(len(nodes)),
 			}
-			p.byClass[cp.class] = cp
 			p.classes = append(p.classes, cp)
 		}
 		p.byNode[nd.Index] = cp
@@ -196,13 +212,27 @@ func (p *freePool) markAwake(i int) {
 	p.bump()
 }
 
+// class returns the pool of the named machine class, nil when the
+// fleet has none. Fleets carry a handful of classes, so a scan beats a
+// string-keyed map.
+func (p *freePool) class(name string) *classPool {
+	for _, cp := range p.classes {
+		if cp.class == name {
+			return cp
+		}
+	}
+	return nil
+}
+
 // eligibleClasses returns the class pools job j may draw from.
 func (p *freePool) eligibleClasses(j *Job) []*classPool {
 	if j == nil || j.ReqClass == "" {
 		return p.classes
 	}
-	if cp := p.byClass[j.ReqClass]; cp != nil {
-		return []*classPool{cp}
+	for i, cp := range p.classes {
+		if cp.class == j.ReqClass {
+			return p.classes[i : i+1]
+		}
 	}
 	return nil
 }
@@ -212,30 +242,34 @@ func (p *freePool) countFor(j *Job) int {
 	if j == nil || j.ReqClass == "" {
 		return p.total
 	}
-	if cp := p.byClass[j.ReqClass]; cp != nil {
+	if cp := p.class(j.ReqClass); cp != nil {
 		return cp.count()
 	}
 	return 0
 }
 
 // appendMerged appends to out, in ascending node-index order, the nodes
-// of the given bitmaps (one per class of an affinity tier), stopping at
-// capacity n. Word-wise ORs make the k-way merge a single bit scan.
-func (p *freePool) appendMerged(out []*platform.Node, sets []bitset, n int) []*platform.Node {
-	if len(sets) == 0 {
-		return out
-	}
+// of the given bitmaps (one per class of an affinity tier) from node
+// index from on, stopping at capacity n. Word-wise ORs make the k-way
+// merge a single bit scan. It returns the index to resume from: the next
+// unmerged node's, or the bitmaps' length once they are exhausted.
+func (p *freePool) appendMerged(out []*platform.Node, sets []bitset, from, n int) ([]*platform.Node, int) {
 	words := len(sets[0])
-	for w := 0; w < words && len(out) < n; w++ {
+	for w := from >> 6; w < words; w++ {
 		var merged uint64
 		for _, s := range sets {
 			merged |= s[w]
 		}
-		for merged != 0 && len(out) < n {
+		if w == from>>6 {
+			merged &^= 1<<(uint(from)&63) - 1
+		}
+		for ; merged != 0; merged &= merged - 1 {
 			i := w<<6 + bits.TrailingZeros64(merged)
+			if len(out) == n {
+				return out, i
+			}
 			out = append(out, p.nodes[i])
-			merged &= merged - 1
 		}
 	}
-	return out
+	return out, words << 6
 }

@@ -100,7 +100,8 @@ func TestLadderDeepWakeDelaysLaunch(t *testing.T) {
 	if j.State != StateCompleted {
 		t.Fatalf("job state %v", j.State)
 	}
-	deep := energy.DefaultProfile().WakeLatency(1)
+	prof := energy.DefaultProfile()
+	deep := prof.WakeLatency(1)
 	if got := j.ExecTime(); got != 20*sim.Second+deep {
 		t.Fatalf("exec time %v, want 20s + the deep rung's %v wake", got, deep)
 	}
@@ -235,7 +236,8 @@ func TestThermalFloorRepricesJobSpeed(t *testing.T) {
 		t.Fatalf("speed %.2f before the crossing, want 1.0", got)
 	}
 	cl.K.RunUntil(400 * sim.Second) // crossing at ≈377.5 s
-	if got, want := c.jobSpeed(j), energy.DefaultProfile().SpeedAt(1); got != want {
+	prof := energy.DefaultProfile()
+	if got, want := c.jobSpeed(j), prof.SpeedAt(1); got != want {
 		t.Fatalf("speed %.2f after the thermal throttle, want the floor's %.2f", got, want)
 	}
 }

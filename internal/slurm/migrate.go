@@ -277,7 +277,7 @@ func (v *MigrateView) ClassActiveW(class string) float64 {
 // FreeOfClass counts the free nodes of a class (awake, booting or
 // asleep — a sleeping node wakes on allocation).
 func (v *MigrateView) FreeOfClass(class string) int {
-	if cp := v.c.pool.byClass[class]; cp != nil {
+	if cp := v.c.pool.class(class); cp != nil {
 		return cp.count()
 	}
 	return 0

@@ -50,10 +50,11 @@ func TestMigrateViewAccessors(t *testing.T) {
 		if got := v.ClassSpeed(fast); got != 1.0 {
 			t.Errorf("fast class speed %v, want 1", got)
 		}
-		if got := v.ClassSpeed(slow); got != energy.EfficiencyProfile().SpeedAt(0) {
+		eff := energy.EfficiencyProfile()
+		if got := v.ClassSpeed(slow); got != eff.SpeedAt(0) {
 			t.Errorf("slow class speed %v", got)
 		}
-		if got := v.ClassActiveW(slow); got != energy.EfficiencyProfile().ActiveW(0) {
+		if got := v.ClassActiveW(slow); got != eff.ActiveW(0) {
 			t.Errorf("slow class draw %v", got)
 		}
 		if v.ClassSpeed("no-such-class") != 0 || v.ClassActiveW("no-such-class") != 0 {
@@ -78,7 +79,8 @@ func TestMigrateViewAccessors(t *testing.T) {
 		if got := v.AllocIn(j, slow); got != 0 {
 			t.Errorf("alloc in slow %d, want 0", got)
 		}
-		if got := v.AllocActiveW(j); got != 2*energy.DefaultProfile().ActiveW(0) {
+		def := energy.DefaultProfile()
+		if got := v.AllocActiveW(j); got != 2*def.ActiveW(0) {
 			t.Errorf("alloc draw %v", got)
 		}
 		if got := v.JobSpeed(j); got != 1.0 {

@@ -80,11 +80,12 @@ func TestPowerCapThrottlesYoungestAndRestores(t *testing.T) {
 	}
 	// Throttled intervals draw less: j3's energy is below an unthrottled
 	// 300 s run, j2's matches one.
-	full := 300 * energy.DefaultProfile().ActiveW(0)
+	prof := energy.DefaultProfile()
+	full := 300 * prof.ActiveW(0)
 	if got := c.Energy().JobJoules(j2.ID); math.Abs(got-full) > 1 {
 		t.Fatalf("j2 energy %.1f J, want %.1f J", got, full)
 	}
-	wantJ3 := full - 100*(energy.DefaultProfile().ActiveW(0)-energy.DefaultProfile().ActiveW(2))
+	wantJ3 := full - 100*(prof.ActiveW(0)-prof.ActiveW(2))
 	if got := c.Energy().JobJoules(j3.ID); math.Abs(got-wantJ3) > 1 {
 		t.Fatalf("j3 energy %.1f J, want %.1f J (100 s at P2)", got, wantJ3)
 	}
@@ -222,7 +223,8 @@ func TestNoCapNoThrottle(t *testing.T) {
 			peak = w
 		}
 	}
-	if want := 4 * energy.DefaultProfile().ActiveW(0); math.Abs(peak-want) > 1e-6 {
+	prof := energy.DefaultProfile()
+	if want := 4 * prof.ActiveW(0); math.Abs(peak-want) > 1e-6 {
 		t.Fatalf("uncapped peak %.1f W, want %.1f W", peak, want)
 	}
 }

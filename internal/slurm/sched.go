@@ -135,6 +135,7 @@ func (c *Controller) startSize(j *Job, free int) (int, bool) {
 // started job dropped in place instead of the seed code's full re-sort
 // per start. Every pass ends with a PASS probe.
 func (c *Controller) schedulePass() {
+	c.pass++ // a new pricing scope: wake remainders, rungs and floors may have moved
 	queue := append(c.passQueue[:0], c.pending...)
 	defer func() {
 		c.passQueue = queue[:0]
@@ -209,13 +210,7 @@ func (c *Controller) schedulePass() {
 		if blocked.ReqClass == "" {
 			return n
 		}
-		take := 0
-		for _, nd := range c.pickNodes(j, n) {
-			if blocked.ClassEligible(nd) {
-				take++
-			}
-		}
-		return take
+		return c.prefixTake(j, n, blocked.ReqClass)
 	}
 	for {
 		started := false
@@ -298,17 +293,13 @@ func (c *Controller) classClampSize(j *Job, n int) int {
 	if !c.cfg.ClassAware || j.MinNodes >= j.MaxNodes || n <= floor {
 		return n
 	}
-	pick := c.pickNodes(j, n)
+	// Every width m ≤ n is priced on the n-variant's order, as if the
+	// job took the first m nodes of the n-node pick.
+	o := c.pickOrderFor(j, n)
+	c.extendPrices(o, n)
 	best, bestEff := n, 0.0
-	slowest := 1.0
-	for m := 1; m <= n; m++ {
-		if s := c.nodeStartSpeed(pick[m-1]); s < slowest {
-			slowest = s
-		}
-		if m < floor {
-			continue
-		}
-		if eff := float64(m) * slowest; eff >= bestEff {
+	for m := max(floor, 1); m <= n; m++ {
+		if eff := float64(m) * o.speed[m-1]; eff >= bestEff {
 			best, bestEff = m, eff
 		}
 	}
@@ -343,23 +334,80 @@ func (c *Controller) wakePreview(nd *platform.Node) sim.Time {
 // would receive (pickNodes order), and the time limit stretches by the
 // slowest effective speed among them (machine class and any persistent
 // thermal floor) — the coupled step loop really runs that much slower
-// there.
+// there. Both are one slot of the pick order's prefix aggregates.
 func (c *Controller) backfillEnd(j *Job, n int) sim.Time {
-	var wake sim.Time
-	speed := 1.0
-	for _, nd := range c.pickNodes(j, n) {
+	wake, speed := c.prefixPrice(j, n)
+	limit := j.TimeLimit
+	if speed > 0 && speed < 1 {
+		limit = sim.Time(float64(limit) / speed)
+	}
+	return c.k.Now() + wake + limit
+}
+
+// scope drops o's prefix aggregates when they were priced in an
+// earlier pass.
+func (o *pickOrder) scope(pass uint64) {
+	if o.pass != pass {
+		o.pass = pass
+		o.wake, o.speed, o.take = o.wake[:0], o.speed[:0], o.take[:0]
+	}
+}
+
+// extendPrices extends o's wake and speed aggregates over its first n
+// nodes (already merged).
+func (c *Controller) extendPrices(o *pickOrder, n int) {
+	o.scope(c.pass)
+	wake, speed := sim.Time(0), 1.0
+	if m := len(o.wake); m > 0 {
+		wake, speed = o.wake[m-1], o.speed[m-1]
+	}
+	for len(o.wake) < n {
+		nd := o.nodes[len(o.wake)]
 		if w := c.wakePreview(nd); w > wake {
 			wake = w
 		}
 		if s := c.nodeStartSpeed(nd); s < speed {
 			speed = s
 		}
+		o.wake = append(o.wake, wake)
+		o.speed = append(o.speed, speed)
 	}
-	limit := j.TimeLimit
-	if speed > 0 && speed < 1 {
-		limit = sim.Time(float64(limit) / speed)
+}
+
+// prefixPrice returns the worst launch delay and the slowest start speed
+// among the n nodes an allocation for j would receive (0 and 1 for no
+// nodes).
+func (c *Controller) prefixPrice(j *Job, n int) (sim.Time, float64) {
+	o := c.pickOrderFor(j, n)
+	if n == 0 {
+		return 0, 1
 	}
-	return c.k.Now() + wake + limit
+	c.extendPrices(o, n)
+	return o.wake[n-1], o.speed[n-1]
+}
+
+// prefixTake counts the nodes of class among the n nodes an allocation
+// for j would receive.
+func (c *Controller) prefixTake(j *Job, n int, class string) int {
+	o := c.pickOrderFor(j, n)
+	if n == 0 {
+		return 0
+	}
+	o.scope(c.pass)
+	if o.takeClass != class {
+		o.takeClass, o.take = class, o.take[:0]
+	}
+	take := 0
+	if m := len(o.take); m > 0 {
+		take = o.take[m-1]
+	}
+	for len(o.take) < n {
+		if o.nodes[len(o.take)].Class() == class {
+			take++
+		}
+		o.take = append(o.take, take)
+	}
+	return o.take[n-1]
 }
 
 // jobRelease is one running job's priced release: the time its nodes
