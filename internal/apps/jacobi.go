@@ -85,22 +85,6 @@ func (*Jacobi) Step(w *nanos.Worker, cfg Config, s Chunk, t int) {
 	}
 }
 
-// ResidualNorm computes ||b - Ax|| over the full system; collective.
-func (c *JacobiChunk) ResidualNorm(w *nanos.Worker) float64 {
-	xFull := w.R.AllgatherFloats(c.X)
-	local := 0.0
-	for i := range c.X {
-		row := c.Rows[i*c.N : (i+1)*c.N]
-		ax := 0.0
-		for j, xv := range xFull {
-			ax += row[j] * xv
-		}
-		d := c.B[i] - ax
-		local += d * d
-	}
-	return math.Sqrt(w.R.AllreduceScalar(nanosSum, local))
-}
-
 // Split implements Chunk.
 func (c *JacobiChunk) Split(parts int) []Chunk {
 	nloc := len(c.X)

@@ -24,12 +24,6 @@ type Checkpointer struct {
 // New returns a checkpointer over the cluster's PFS.
 func New(cl *platform.Cluster) *Checkpointer { return &Checkpointer{cl: cl} }
 
-// StreamRate is the per-stream bandwidth at full slot contention — the
-// floor a stream is guaranteed while holding a service slot.
-func (c *Checkpointer) StreamRate() float64 {
-	return c.cl.Cfg.PFSBytesPS / float64(c.cl.Cfg.PFSConcurrent)
-}
-
 // shareTime is the in-service time for one stream of size bytes while k
 // streams compete for the PFS. The aggregate bandwidth is split evenly
 // over the active streams, of which there are at most PFSConcurrent (the

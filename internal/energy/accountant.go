@@ -326,7 +326,7 @@ func (a *Accountant) StartBoot(i int) sim.Time {
 
 // FinishBoot completes a boot transition: the node lands powered-on
 // idle. No-op unless the node is mid-boot, so a stale completion timer
-// for a node that was allocated (or drained) during its boot is safe.
+// for a node that was allocated or crashed during its boot is safe.
 func (a *Accountant) FinishBoot(i int) {
 	m := &a.nodes[i]
 	if m.state != Booting {

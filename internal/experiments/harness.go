@@ -37,12 +37,6 @@ func (c Comparison) WaitGain() float64 {
 	return metrics.GainPct(c.Fixed.AvgWait.Seconds(), c.Flexible.AvgWait.Seconds())
 }
 
-// UtilReduction is the drop in average resource-utilization rate
-// (percentage points); Table II row 1.
-func (c Comparison) UtilReduction() float64 {
-	return c.Fixed.UtilRate - c.Flexible.UtilRate
-}
-
 // runPair executes the same workload in fixed and flexible mode.
 func runPair(cfg core.Config, specs []workload.Spec) Comparison {
 	fixed := core.RunWorkload(cfg, workload.SetFlexible(specs, false))

@@ -1,16 +1,16 @@
 // Package faults is the deterministic fault injector: it turns an
-// MTBF/Weibull node-failure model, a mean-time-to-repair, and an
-// elastic boot-failure probability into the concrete delays and
+// exponential node-failure model (its MTBF), a mean-time-to-repair, and
+// an elastic boot-failure probability into the concrete delays and
 // verdicts the scheduler's recovery machinery consumes.
 //
 // The injector draws from its own seeded RNG stream, minted from the
 // run seed XOR a faults-specific salt (the seeded-stream discipline of
-// workload.NewStream, constructed locally to keep this a leaf package).
-// Independence is the point: the workload generator's streams must stay
-// byte-identical whether or not faults are enabled, and the injector's
-// schedule must survive workload retunes unchanged. A disabled injector
-// is simply never constructed, so the zero-draw property of every other
-// stream holds trivially.
+// the workload generator, constructed locally to keep this a leaf
+// package). Independence is the point: the workload generator's
+// streams must stay byte-identical whether or not faults are enabled,
+// and the injector's schedule must survive workload retunes unchanged.
+// A disabled injector is simply never constructed, so the zero-draw
+// property of every other stream holds trivially.
 //
 // The injector is policy-free by design: it decides *when* hardware
 // misbehaves, never what the scheduler does about it. The controller
@@ -34,16 +34,10 @@ const seedSalt = 0x6661756c7473 // "faults"
 
 // Config parameterizes the injector.
 type Config struct {
-	// MTBF is the per-node mean time between failures. 0 disables
-	// crash injection entirely (boot failures may still be enabled).
+	// MTBF is the per-node mean time between failures; times to
+	// failure are exponentially distributed. 0 disables crash injection
+	// entirely (boot failures may still be enabled).
 	MTBF sim.Time
-	// Shape is the Weibull shape parameter of the time-to-failure
-	// distribution; <= 0 or 1 gives the memoryless exponential, > 1
-	// wear-out (hazard grows with uptime), < 1 infant mortality.
-	Shape float64
-	// ClassMTBF overrides MTBF per machine class (keyed by class name).
-	// Classes absent from the map use MTBF.
-	ClassMTBF map[string]sim.Time
 	// MTTR is the mean time to repair a crashed node; repairs are
 	// exponentially distributed. 0 defaults to one hour.
 	MTTR sim.Time
@@ -54,15 +48,17 @@ type Config struct {
 	// BootFailP is the probability that an elastic provision boot
 	// fails to bring the node up (per attempt). 0 disables.
 	BootFailP float64
-	// RetryBase is the initial boot-retry backoff; doubles per strike
-	// up to RetryCap. Defaults: 60 s base, 15 min cap.
-	RetryBase sim.Time
-	// RetryCap caps the exponential boot-retry backoff.
-	RetryCap sim.Time
 	// Seed seeds the injector's RNG stream (XORed with the package
 	// salt, so passing the workload seed is safe and conventional).
 	Seed int64
 }
+
+// Boot-retry backoff: the first retry waits retryBase, and each further
+// strike doubles the wait up to retryCap.
+const (
+	retryBase = 60 * sim.Second
+	retryCap  = 900 * sim.Second
+)
 
 // Enabled reports whether the configuration injects anything at all.
 func (c Config) Enabled() bool { return c.MTBF > 0 || c.BootFailP > 0 }
@@ -91,52 +87,32 @@ func New(cfg Config) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Shape <= 0 {
-		cfg.Shape = 1
-	}
 	if cfg.MTTR <= 0 {
 		cfg.MTTR = 3600 * sim.Second
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 30 * 24 * 3600 * sim.Second
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 60 * sim.Second
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 900 * sim.Second
-	}
-	// The same seeded-stream shape workload.NewStream mints, constructed
-	// locally: faults must stay a leaf package (the scheduler's tests
-	// import it, and workload transitively imports the scheduler).
-	//simcheck:allow rngstream leaf-package twin of workload.NewStream, salted off the same run seed
+	// The same seeded-stream shape the workload generator mints,
+	// constructed locally: faults must stay a leaf package (the
+	// scheduler's tests import it, and workload transitively imports the
+	// scheduler).
+	//simcheck:allow rngstream leaf-package twin of the workload generator's streams, salted off the same run seed
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed ^ seedSalt))}
 }
 
-// mtbfFor resolves the per-class override.
-func (in *Injector) mtbfFor(class string) sim.Time {
-	if m, ok := in.cfg.ClassMTBF[class]; ok {
-		return m
-	}
-	return in.cfg.MTBF
-}
-
-// NextCrash draws the time-to-failure of one node life of the given
-// machine class, relative to now. ok is false when crash injection is
-// off for the class or the crash would land past the horizon — the
-// caller stops the node's crash chain there. The draw is consumed
-// either way, so the stream position depends only on how many lives
-// were asked about, not on where the horizon sits.
-func (in *Injector) NextCrash(now sim.Time, class string) (delay sim.Time, ok bool) {
-	mtbf := in.mtbfFor(class)
-	if mtbf <= 0 {
+// NextCrash draws the time-to-failure of one node life, relative to
+// now. ok is false when crash injection is off or the crash would land
+// past the horizon — the caller stops the node's crash chain there. The
+// draw is consumed either way, so the stream position depends only on
+// how many lives were asked about, not on where the horizon sits.
+func (in *Injector) NextCrash(now sim.Time) (delay sim.Time, ok bool) {
+	if in.cfg.MTBF <= 0 {
 		return 0, false
 	}
-	// Weibull via inverse transform: scale λ chosen so the mean is the
-	// configured MTBF for any shape (mean = λ·Γ(1+1/k)).
+	// Exponential via inverse transform.
 	u := in.rng.Float64()
-	lambda := float64(mtbf) / math.Gamma(1+1/in.cfg.Shape)
-	ttf := sim.Time(lambda * math.Pow(-math.Log(1-u), 1/in.cfg.Shape))
+	ttf := sim.Time(float64(in.cfg.MTBF) * -math.Log(1-u))
 	if ttf < sim.Second {
 		ttf = sim.Second // a zero-delay crash would fire inside the arming event
 	}
@@ -167,20 +143,20 @@ func (in *Injector) BootFails() bool {
 
 // BootRetry returns the capped exponential backoff before boot attempt
 // strike+1 (strike counts completed failures, so the first retry waits
-// RetryBase). Deterministic: backoff carries no jitter, the crash and
+// retryBase). Deterministic: backoff carries no jitter, the crash and
 // repair draws provide all the variety the model needs.
 func (in *Injector) BootRetry(strike int) sim.Time {
-	d := in.cfg.RetryBase
-	for i := 1; i < strike && d < in.cfg.RetryCap; i++ {
+	d := retryBase
+	for i := 1; i < strike && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > in.cfg.RetryCap {
-		d = in.cfg.RetryCap
+	if d > retryCap {
+		d = retryCap
 	}
 	return d
 }
 
 func (in *Injector) String() string {
-	return fmt.Sprintf("faults{mtbf=%v shape=%.2f mttr=%v bootfail=%.3f}",
-		in.cfg.MTBF, in.cfg.Shape, in.cfg.MTTR, in.cfg.BootFailP)
+	return fmt.Sprintf("faults{mtbf=%v mttr=%v bootfail=%.3f}",
+		in.cfg.MTBF, in.cfg.MTTR, in.cfg.BootFailP)
 }

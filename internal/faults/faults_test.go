@@ -16,6 +16,9 @@ func TestEnabled(t *testing.T) {
 	if !(Config{BootFailP: 0.1}).Enabled() {
 		t.Fatal("boot-failure config reports disabled")
 	}
+	if _, ok := New(Config{BootFailP: 0.1, Horizon: 1 << 60}).NextCrash(0); ok {
+		t.Fatal("a 0-MTBF model still crashes")
+	}
 }
 
 func TestNewValidatesAndNormalizes(t *testing.T) {
@@ -30,7 +33,7 @@ func TestNewValidatesAndNormalizes(t *testing.T) {
 		}()
 	}
 	in := New(Config{MTBF: 1000 * sim.Second})
-	if in.cfg.Shape != 1 || in.cfg.MTTR != 3600*sim.Second {
+	if in.cfg.MTTR != 3600*sim.Second {
 		t.Fatalf("defaults not applied: %+v", in.cfg)
 	}
 	if in.cfg.Horizon != 30*24*3600*sim.Second {
@@ -38,49 +41,26 @@ func TestNewValidatesAndNormalizes(t *testing.T) {
 	}
 }
 
-// The inverse-transform scaling must deliver the configured MTBF as the
-// distribution mean for any shape (λ is corrected by Γ(1+1/k)).
+// The inverse-transform draw must deliver the configured MTBF as the
+// distribution mean.
 func TestNextCrashMeanMatchesMTBF(t *testing.T) {
 	const mtbf = 10000 * sim.Second
-	for _, shape := range []float64{1, 0.7, 2} {
-		in := New(Config{MTBF: mtbf, Shape: shape, Horizon: 1 << 60, Seed: 42})
-		const n = 20000
-		var sum float64
-		for i := 0; i < n; i++ {
-			d, ok := in.NextCrash(0, "")
-			if !ok {
-				t.Fatalf("shape %v: draw %d not ok under a huge horizon", shape, i)
-			}
-			if d < sim.Second {
-				t.Fatalf("shape %v: TTF %v under the 1 s floor", shape, d)
-			}
-			sum += float64(d)
+	in := New(Config{MTBF: mtbf, Horizon: 1 << 60, Seed: 42})
+	const n = 20000
+	var sum float64
+	for i := 0; i < n; i++ {
+		d, ok := in.NextCrash(0)
+		if !ok {
+			t.Fatalf("draw %d not ok under a huge horizon", i)
 		}
-		mean := sum / n
-		if mean < 0.95*float64(mtbf) || mean > 1.05*float64(mtbf) {
-			t.Fatalf("shape %v: sample mean %.0f s, want ≈%v", shape, mean/float64(sim.Second), mtbf)
+		if d < sim.Second {
+			t.Fatalf("TTF %v under the 1 s floor", d)
 		}
+		sum += float64(d)
 	}
-}
-
-func TestNextCrashDisabledAndClassOverride(t *testing.T) {
-	in := New(Config{MTBF: 1000 * sim.Second, ClassMTBF: map[string]sim.Time{
-		"flaky": 10 * sim.Second,
-		"solid": 0,
-	}, Horizon: 1 << 60, Seed: 7})
-	if _, ok := in.NextCrash(0, "solid"); ok {
-		t.Fatal("a 0-MTBF class still crashes")
-	}
-	// The flaky class must draw visibly shorter lives than the default.
-	var flaky, def float64
-	for i := 0; i < 2000; i++ {
-		d, _ := in.NextCrash(0, "flaky")
-		flaky += float64(d)
-		d, _ = in.NextCrash(0, "")
-		def += float64(d)
-	}
-	if flaky*10 > def {
-		t.Fatalf("flaky mean %.0f not ≪ default mean %.0f", flaky/2000, def/2000)
+	mean := sum / n
+	if mean < 0.95*float64(mtbf) || mean > 1.05*float64(mtbf) {
+		t.Fatalf("sample mean %.0f s, want ≈%v", mean/float64(sim.Second), mtbf)
 	}
 }
 
@@ -92,8 +72,8 @@ func TestHorizonConsumesDraws(t *testing.T) {
 	}
 	tiny, big := mk(2*sim.Second), mk(1<<60)
 	for i := 0; i < 100; i++ {
-		dt, okt := tiny.NextCrash(0, "")
-		db, _ := big.NextCrash(0, "")
+		dt, okt := tiny.NextCrash(0)
+		db, _ := big.NextCrash(0)
 		if dt != db {
 			t.Fatalf("draw %d diverged: %v vs %v", i, dt, db)
 		}
@@ -106,7 +86,7 @@ func TestHorizonConsumesDraws(t *testing.T) {
 func TestNextCrashFloor(t *testing.T) {
 	in := New(Config{MTBF: sim.Microsecond, Horizon: 1 << 60, Seed: 1}) // 1 µs MTBF: every draw floors
 	for i := 0; i < 100; i++ {
-		if d, _ := in.NextCrash(0, ""); d != sim.Second {
+		if d, _ := in.NextCrash(0); d != sim.Second {
 			t.Fatalf("TTF %v, want the 1 s floor", d)
 		}
 	}
@@ -150,11 +130,11 @@ func TestBootFails(t *testing.T) {
 	}
 }
 
-// The backoff doubles per strike from RetryBase, capped at RetryCap, and
-// carries no jitter.
+// The backoff doubles per strike from 60 s, capped at 900 s, and carries
+// no jitter.
 func TestBootRetryBackoff(t *testing.T) {
-	in := New(Config{BootFailP: 0.5, RetryBase: 60 * sim.Second, RetryCap: 300 * sim.Second})
-	want := []sim.Time{60, 60, 120, 240, 300, 300}
+	in := New(Config{BootFailP: 0.5})
+	want := []sim.Time{60, 60, 120, 240, 480, 900, 900}
 	for strike, w := range want {
 		if got := in.BootRetry(strike); got != w*sim.Second {
 			t.Fatalf("BootRetry(%d) = %v, want %v", strike, got, w*sim.Second)
@@ -170,8 +150,8 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 500; i++ {
-		da, _ := a.NextCrash(0, "")
-		db, _ := b.NextCrash(0, "")
+		da, _ := a.NextCrash(0)
+		db, _ := b.NextCrash(0)
 		if da != db {
 			t.Fatalf("crash draw %d diverged", i)
 		}

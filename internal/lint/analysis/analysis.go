@@ -67,16 +67,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportRangef reports a formatted diagnostic covering node's extent.
-func (p *Pass) ReportRangef(node ast.Node, format string, args ...any) {
-	p.Report(Diagnostic{
-		Pos:      node.Pos(),
-		End:      node.End(),
-		Category: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Validate checks that the analyzer list is well formed (unique,
 // non-empty names and Run functions) the way x/tools analysis.Validate
 // does, so drivers can fail fast on a bad suite.

@@ -227,15 +227,6 @@ func (c *Comm) Start(namePrefix string, main func(r *Rank)) []*Rank {
 // Procs returns the simulated processes started for this communicator.
 func (c *Comm) Procs() []*sim.Proc { return c.procs }
 
-// Abort kills every process of the communicator (MPI_Abort). Must not be
-// called from one of the communicator's own rank processes; a rank
-// aborting itself should call its own Proc.Exit after killing the others.
-func (c *Comm) Abort() {
-	for _, p := range c.procs {
-		p.Kill()
-	}
-}
-
 // Intercomm connects a local group to a remote group, as produced by
 // CommSpawn on the parent side and Parent() on the child side.
 type Intercomm struct {
@@ -245,13 +236,6 @@ type Intercomm struct {
 
 // RemoteSize returns the size of the remote group.
 func (ic *Intercomm) RemoteSize() int { return ic.remote.Size() }
-
-// Remote returns the remote communicator (the spawned group when held by
-// the parent; the parent group when held by a child).
-func (ic *Intercomm) Remote() *Comm { return ic.remote }
-
-// Local returns the local communicator.
-func (ic *Intercomm) Local() *Comm { return ic.local }
 
 // flipped returns the intercomm as seen from the other side.
 func (ic *Intercomm) flipped() *Intercomm { return &Intercomm{local: ic.remote, remote: ic.local} }

@@ -14,13 +14,6 @@ type Rank struct {
 	proc *sim.Proc
 }
 
-// BindRank attaches an existing simulated process to rank r of comm.
-// Used when the caller manages process creation itself (e.g. the runtime
-// re-binding survivor ranks after a resize).
-func BindRank(comm *Comm, r int, p *sim.Proc) *Rank {
-	return &Rank{comm: comm, rank: r, proc: p}
-}
-
 // Rank returns this process's rank in the communicator.
 func (r *Rank) Rank() int { return r.rank }
 

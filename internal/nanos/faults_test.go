@@ -20,7 +20,7 @@ type scriptedFaults struct {
 	repair sim.Time
 }
 
-func (s *scriptedFaults) NextCrash(_ sim.Time, _ string) (sim.Time, bool) {
+func (s *scriptedFaults) NextCrash(sim.Time) (sim.Time, bool) {
 	if s.i >= len(s.delays) {
 		return 0, false
 	}

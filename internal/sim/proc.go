@@ -51,10 +51,6 @@ func (p *Proc) Sleep(d Time) {
 	p.block()
 }
 
-// Yield reschedules the process at the current time, letting any other
-// process scheduled for this instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Exit terminates the process immediately. Deferred functions inside the
 // process body do NOT run (mirroring exit(0) in the paper's Listing 1);
 // functions registered with OnExit do run.

@@ -10,27 +10,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Regression: the EASY reservation must not count drained nodes as
-// returning when a running job ends — they leave service on release, so
+// Regression: the EASY reservation must not count FAILED nodes as
+// returning when a running job ends — they go to repair on release, so
 // the shadow time is later and the extra pool smaller than the naive
 // count suggests.
-func TestReservationExcludesDrainedNodes(t *testing.T) {
-	cl := testCluster(4)
-	c := NewController(cl, DefaultConfig())
-	long := c.Submit(sleeperJob(c, "long", 3, 100*sim.Second))
-	cl.K.RunUntil(sim.Second)
-	if long.State != StateRunning {
-		t.Fatalf("long job state %v", long.State)
-	}
-	// Drain one of the running job's nodes: it will not come back when
-	// the job ends.
-	if err := c.DrainNode(long.Alloc()[1].Index); err != nil {
-		t.Fatal(err)
+func TestReservationExcludesFailedNodes(t *testing.T) {
+	// Init draws in node order: node 1 crashes at 5 s, under the long
+	// job, and stays in repair until long after the head job ran.
+	fm := &stubFaults{crash: []sim.Time{0, 5 * sim.Second, 0, 0}, repair: 1000 * sim.Second}
+	cl, c := faultController(4, fm, nil)
+	long := sleeperJob(c, "long", 3, 100*sim.Second)
+	// A failure handler that does nothing: the job keeps running on its
+	// dead node and releases it at the end.
+	long.OnNodeFail = func(*Job, *platform.Node) {}
+	c.Submit(long)
+	cl.K.RunUntil(6 * sim.Second)
+	if long.State != StateRunning || !c.nodeFailed(long.Alloc()[1].Index) {
+		t.Fatalf("long job state %v, alloc %v: want it running on the crashed node 1", long.State, long.Alloc())
 	}
 	// Head of the queue needs 3 nodes: exactly what the long job's
-	// non-drained release (2) plus the free node (1) provides.
+	// surviving release (2) plus the free node (1) provides.
 	head := c.Submit(sleeperJob(c, "head", 3, 10*sim.Second))
-	// A long 1-node filler. With the drained node miscounted, the
+	// A long 1-node filler. With the failed node miscounted, the
 	// reservation computes extra=1 and backfills it onto the single free
 	// node, delaying the head job past the long job's end.
 	filler := c.Submit(sleeperJob(c, "filler", 1, 500*sim.Second))
@@ -89,26 +90,13 @@ func TestAllocatePrefersAwakeNodes(t *testing.T) {
 	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
 	c := NewController(cl, cfg)
 
-	// Hold nodes 0-1 out of service so the first job lands on 2-3,
+	// A short holder takes nodes 0-1 so the first job lands on 2-3,
 	// keeping them awake while 0-1 (lower-indexed!) doze off.
-	if err := c.DrainNode(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DrainNode(1); err != nil {
-		t.Fatal(err)
-	}
+	c.Submit(sleeperJob(c, "hold", 2, 5*sim.Second))
 	a := c.Submit(sleeperJob(c, "a", 2, 50*sim.Second))
-	cl.K.At(20*sim.Second, func() {
-		if err := c.ResumeNode(0); err != nil {
-			t.Error(err)
-		}
-		if err := c.ResumeNode(1); err != nil {
-			t.Error(err)
-		}
-	})
 	var b *Job
 	cl.K.At(55*sim.Second, func() {
-		// Free pool: 0-1 asleep (resumed at 20, asleep at 30), 2-3 just
+		// Free pool: 0-1 asleep (released at 5, asleep at 15), 2-3 just
 		// released and awake. Index order would pick the sleepers.
 		if n := c.Energy().SleepingNodes(); n != 2 {
 			t.Errorf("%d nodes asleep at t=55, want 2", n)
@@ -200,9 +188,9 @@ func shape(j *Job) string {
 // take) against a per-node walk of pickNodes, for every candidate shape
 // and every width, on randomized pools: both rungs of a two-rung ladder
 // asleep, wake-ahead boots part-way through, thermal floors left by hot
-// holders, drained and failed nodes, two or three classes. Each seed
-// prices two passes a few seconds apart, so boot remainders and ladder
-// positions move between them without a pool mutation.
+// holders, failed nodes, two or three classes. Each seed prices two
+// passes a few seconds apart, so boot remainders and ladder positions
+// move between them without a pool mutation.
 func TestBackfillPricingMatchesWalk(t *testing.T) {
 	// seen counts the pool states the probes priced, so the fuzz cannot
 	// silently stop reaching one of them.
@@ -223,7 +211,7 @@ func TestBackfillPricingMatchesWalk(t *testing.T) {
 			}
 			cl := platform.New(cfg)
 			crashes := make([]sim.Time, cfg.Nodes)
-			for i := 0; i < 3; i++ {
+			for i := 0; i < 6; i++ {
 				crashes[rng.Intn(cfg.Nodes)] = sim.Time(10+rng.Intn(400)) * sim.Second
 			}
 			scfg := DefaultConfig()
@@ -244,9 +232,6 @@ func TestBackfillPricingMatchesWalk(t *testing.T) {
 				holders = append(holders, c.Submit(h))
 			}
 			cl.K.RunUntil(sim.Time(450+rng.Intn(500)) * sim.Second)
-			for i := 0; i < 3; i++ {
-				_ = c.DrainNode(rng.Intn(cfg.Nodes))
-			}
 			for i := range cl.Nodes {
 				if c.pool.byNode[i].asleep.has(i) && rng.Intn(4) == 0 {
 					c.preBoot(cl.Nodes[i], c.sleepGen[i]) // a wake-ahead boot

@@ -95,17 +95,11 @@ type Controller struct {
 	held []*platform.Node // detached during an expand dance
 
 	// owner indexes node occupancy by node index: 0 = unowned, heldOwner
-	// = parked in the held pool, otherwise the owning job's ID. It makes
-	// nodeHeld O(1) instead of a scan over every running allocation.
+	// = parked in the held pool, otherwise the owning job's ID. owned
+	// counts the nonzero entries: it moves only where an entry goes to
+	// or from 0 (allocateNodes, releaseNodes, CollectFailed).
 	owner []int
-
-	// drained flags nodes out of service, by index. drainedN counts the
-	// flags; drainedUnheld counts drained nodes no job or hold owns
-	// (they are outside both the free pool and any allocation, the
-	// correction AllocatedNodes needs).
-	drained       []bool
-	drainedN      int
-	drainedUnheld int
+	owned int
 
 	jobs    map[int]*Job
 	pending []*Job
@@ -119,10 +113,10 @@ type Controller struct {
 
 	// bootUntil records, per node, when its current wake/boot transition
 	// completes (zero or past: not transitioning). It is the state the
-	// free pool's booting bitmaps key off: a node released or resumed
-	// inside its wake window re-enters the pool as booting, so a second
-	// allocation pays exactly the remaining transition — never the full
-	// rung again, and never nothing.
+	// free pool's booting bitmaps key off: a node released inside its
+	// wake window re-enters the pool as booting, so a second allocation
+	// pays exactly the remaining transition — never the full rung again,
+	// and never nothing.
 	bootUntil []sim.Time
 
 	// elastic is the capacity controller state (nil: fixed fleet).
@@ -142,10 +136,6 @@ type Controller struct {
 	pick pickCache
 	pass uint64
 
-	// passQueue is a scratch buffer reused across scheduling passes to
-	// keep the hot path allocation-free.
-	passQueue []*Job
-
 	// endOrder keeps the running jobs sorted by priced release time
 	// (StartTime plus the speed-stretched time limit, ties by ID) — the
 	// order the EASY reservation consumes. Maintained incrementally on
@@ -162,6 +152,9 @@ type Controller struct {
 	// fleet's initial power-offs), replayed to every subscriber.
 	built []Event
 }
+
+// heldOwner marks a node parked in the held pool in the owner index.
+const heldOwner = -1
 
 // SampleFunc observes one allocation snapshot.
 type SampleFunc func(t sim.Time, allocatedNodes, runningJobs, completedJobs, pendingJobs int)
@@ -253,7 +246,6 @@ func NewController(c *platform.Cluster, cfg Config) *Controller {
 		cfg:       cfg,
 		pool:      newFreePool(c.Nodes),
 		owner:     make([]int, len(c.Nodes)),
-		drained:   make([]bool, len(c.Nodes)),
 		jobs:      make(map[int]*Job),
 		running:   make(map[int]*Job),
 		rpcSlot:   sim.NewResource(c.K, 1),
@@ -295,14 +287,18 @@ func (c *Controller) Stats() Stats {
 
 // SubscribeSamples registers fn to observe every allocation snapshot.
 // Subscribers are invoked in registration order; registering never
-// displaces an earlier subscriber.
+// displaces an earlier subscriber. fn only observes: it may read the
+// controller but never calls back into anything that changes it (a
+// scheduling pass samples while it ranges over the pending queue).
 func (c *Controller) SubscribeSamples(fn SampleFunc) { c.sampleSubs = append(c.sampleSubs, fn) }
 
 // SubscribeEvents registers fn to observe every controller event as it
 // is emitted. The controller keeps no log: a caller that wants one
 // subscribes before the run. fn first receives the events NewController
 // emitted (the elastic fleet's initial power-offs), then every later
-// event in order.
+// event in order. fn only observes: it may read the controller but
+// never calls back into anything that changes it (a scheduling pass
+// emits while it ranges over the pending queue).
 func (c *Controller) SubscribeEvents(fn func(Event)) {
 	for _, ev := range c.built {
 		fn(ev)
@@ -353,19 +349,9 @@ func (c *Controller) TotalNodes() int { return len(c.cluster.Nodes) }
 // FreeNodes returns how many nodes are currently unallocated.
 func (c *Controller) FreeNodes() int { return c.pool.total }
 
-// AllocatedNodes returns how many nodes are allocated or held. Drained
-// nodes count only while a job still occupies them; powered-off
-// (decommissioned) nodes never count.
-func (c *Controller) AllocatedNodes() int {
-	n := len(c.cluster.Nodes) - c.pool.total - c.drainedUnheld
-	if c.elastic != nil {
-		n -= c.elastic.offlineN
-	}
-	if c.faults != nil {
-		n -= c.faults.failedOut
-	}
-	return n
-}
+// AllocatedNodes returns how many nodes a job or the held pool owns. A
+// crashed node counts while its job still holds it.
+func (c *Controller) AllocatedNodes() int { return c.owned }
 
 // Job returns the job with the given id, or nil.
 func (c *Controller) Job(id int) *Job { return c.jobs[id] }
@@ -747,15 +733,16 @@ func (c *Controller) allocateNodes(j *Job, n int) []*platform.Node {
 		c.pool.remove(nd.Index)
 		c.owner[nd.Index] = j.ID
 	}
+	c.owned += n
 	return nodes
 }
 
-// releaseNodes returns nodes to the free pool. Nodes drained while
-// allocated complete their drain here. The freed draw is headroom under
-// a power cap: throttled jobs step back first.
+// releaseNodes returns nodes to the free pool. The freed draw is
+// headroom under a power cap: throttled jobs step back first.
 func (c *Controller) releaseNodes(nodes []*platform.Node) {
 	c.powerRelease(nodes)
-	c.pool.bump() // the releasing job's allocation changed even if every node drains
+	c.pool.bump() // the releasing job's allocation changed even if every node failed
+	c.owned -= len(nodes)
 	now := c.k.Now()
 	for _, nd := range nodes {
 		c.owner[nd.Index] = 0
@@ -763,14 +750,9 @@ func (c *Controller) releaseNodes(nodes []*platform.Node) {
 			// The node crashed while this job held it: it moves to the
 			// fault books, never the pool. A repair that completed while
 			// the job hung on finalizes now.
-			c.faults.failedOut++
 			if c.faults.repairParked[nd.Index] {
 				c.finishRepair(nd.Index)
 			}
-			continue
-		}
-		if c.drained[nd.Index] {
-			c.drainedUnheld++
 			continue
 		}
 		if c.bootUntil[nd.Index] > now {
@@ -858,9 +840,8 @@ func (c *Controller) scheduleBootDone(n *platform.Node) {
 }
 
 // bootDone finalizes a wake/boot transition for a node that stayed free
-// (or drained) through it: the accountant lands it powered-on idle, the
-// pool moves it to its class's awake half, and its idle-sleep ladder
-// restarts. Stale timers — the node was allocated mid-boot, or a newer
+// through it: the accountant lands it powered-on idle, the pool moves it
+// to its class's awake half, and its idle-sleep ladder restarts. Stale timers — the node was allocated mid-boot, or a newer
 // transition superseded this one — are no-ops.
 func (c *Controller) bootDone(n *platform.Node, until sim.Time) {
 	i := n.Index
@@ -897,10 +878,9 @@ func (c *Controller) bootDone(n *platform.Node, until sim.Time) {
 // armSleep schedules the idle→sleep descent for a node that just became
 // free. A later allocation bumps the node's generation, voiding any
 // armed timer; the accountant additionally refuses to sleep non-idle
-// nodes. Drained nodes never sleep: they are held out of service for
-// maintenance and stay powered on.
+// nodes.
 func (c *Controller) armSleep(n *platform.Node) {
-	if len(c.cfg.SleepLadder) == 0 || c.drained[n.Index] || c.isOffline(n.Index) || c.nodeFailed(n.Index) {
+	if len(c.cfg.SleepLadder) == 0 || c.isOffline(n.Index) || c.nodeFailed(n.Index) {
 		return
 	}
 	c.sleepGen[n.Index]++

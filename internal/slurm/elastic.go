@@ -213,7 +213,7 @@ func (c *Controller) elasticScaleUp(deficit int) {
 	}
 	booted := 0
 	for i := 0; i < len(c.cluster.Nodes) && booted < deficit; i++ {
-		if !e.offline[i] || c.drained[i] || !c.provisionable(i) {
+		if !e.offline[i] || !c.provisionable(i) {
 			continue
 		}
 		c.provisionNode(c.cluster.Nodes[i])
@@ -316,7 +316,7 @@ func (c *Controller) elasticBootLanded(*platform.Node) {
 // holder is blocked on nodes — every free eligible node is then part of
 // its future allocation (avail < need). The pre-boot freezes the node's
 // ladder (no deepening under a committed wake) and survives until any
-// allocation, release, drain or decommission bumps the generation.
+// allocation, release, crash or decommission bumps the generation.
 func (c *Controller) wakeAhead(blocked *Job, shadow sim.Time) {
 	const farFuture = sim.Time(1<<62 - 1)
 	if shadow >= farFuture || c.freeFor(blocked) >= c.needNodes(blocked) {
@@ -356,7 +356,7 @@ func (c *Controller) wakeAhead(blocked *Job, shadow sim.Time) {
 // at the shadow time.
 func (c *Controller) preBoot(n *platform.Node, gen int) {
 	i := n.Index
-	if c.sleepGen[i] != gen || c.drained[i] || !c.pool.byNode[i].asleep.has(i) {
+	if c.sleepGen[i] != gen || !c.pool.byNode[i].asleep.has(i) {
 		return
 	}
 	if c.cfg.Energy.State(i) != energy.Sleeping {

@@ -99,45 +99,6 @@ func TestElasticProvisionRacesCompletion(t *testing.T) {
 	}
 }
 
-// Draining a sleeping node wakes it for maintenance and must cancel the
-// ladder descent armed against its sleeping life: the stale deepen timer
-// may not put a drained (or resumed and re-allocated) node back to
-// sleep, and the resumed node restarts the descent from the top.
-func TestDrainCancelsStaleLadderTimer(t *testing.T) {
-	cl, c := ladderController(1, DefaultSleepLadder())
-	a := c.Energy()
-	cl.K.RunUntil(130 * sim.Second) // on the shallow rung since 120s
-	if a.State(0) != energy.Sleeping {
-		t.Fatalf("state %v at 130s, want Sleeping", a.State(0))
-	}
-	if err := c.DrainNode(0); err != nil {
-		t.Fatal(err)
-	}
-	// The pre-drain descent would deepen to S1 at 720s: a drained node
-	// must stay awake through that mark.
-	cl.K.RunUntil(800 * sim.Second)
-	if got := a.State(0); got != energy.Idle {
-		t.Fatalf("state %v at 800s, want a drained node held Idle", got)
-	}
-	if err := c.ResumeNode(0); err != nil {
-		t.Fatal(err)
-	}
-	// The resumed node restarts from the top: shallow at ≈920s, deep at
-	// ≈1400s — and not a second earlier via any stale timer.
-	cl.K.RunUntil(900 * sim.Second)
-	if got := a.State(0); got != energy.Idle {
-		t.Fatalf("state %v at 900s, want Idle before the restarted descent", got)
-	}
-	cl.K.RunUntil(950 * sim.Second)
-	if a.State(0) != energy.Sleeping || a.SStateOf(0) != 0 {
-		t.Fatalf("state %v S%d at 950s, want the restarted shallow rung", a.State(0), a.SStateOf(0))
-	}
-	cl.K.RunUntil(1450 * sim.Second)
-	if a.SStateOf(0) != 1 {
-		t.Fatalf("S%d at 1450s, want the deep rung", a.SStateOf(0))
-	}
-}
-
 // The decommission→reprovision life cycle under a ladder: scale-down
 // retires a deep sleeper, the first arrival reprovisions it, and the
 // fresh incarnation descends the ladder on its own schedule — timers

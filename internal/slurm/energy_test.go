@@ -225,37 +225,6 @@ func TestExpandDanceOnSleepingNodesChargesTarget(t *testing.T) {
 	}
 }
 
-func TestDrainedNodesStayPowered(t *testing.T) {
-	cl, c := energyController(2, 10*sim.Second)
-	cl.K.RunUntil(20 * sim.Second)
-	if n := c.Energy().SleepingNodes(); n != 2 {
-		t.Fatalf("%d asleep, want 2", n)
-	}
-	// Draining a sleeping node wakes it for maintenance and keeps it up.
-	cl.K.At(21*sim.Second, func() {
-		if err := c.DrainNode(0); err != nil {
-			t.Error(err)
-		}
-	})
-	cl.K.RunUntil(60 * sim.Second)
-	if got := c.Energy().State(0); got != energy.Idle {
-		t.Fatalf("drained node state %v, want IDLE", got)
-	}
-	if c.Energy().Wakes() != 1 {
-		t.Fatalf("%d wakes, want 1 (the drain)", c.Energy().Wakes())
-	}
-	// Resume re-arms the idle timer: the node goes back to sleep.
-	cl.K.At(61*sim.Second, func() {
-		if err := c.ResumeNode(0); err != nil {
-			t.Error(err)
-		}
-	})
-	cl.K.RunUntil(100 * sim.Second)
-	if got := c.Energy().State(0); got != energy.Sleeping {
-		t.Fatalf("resumed node state %v, want SLEEPING again", got)
-	}
-}
-
 func TestHeterogeneousClassesMetered(t *testing.T) {
 	cfg := platform.Marenostrum3()
 	cfg.Nodes = 4

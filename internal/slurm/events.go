@@ -20,7 +20,7 @@ const (
 	EvGrow
 	EvBoost
 	EvSleep           // node dropped to a sleep state after its idle timeout
-	EvWake            // a sleeping node started waking: for an allocation (JobID charged) or a drain (JobID 0)
+	EvWake            // a sleeping node started waking for an allocation (JobID charged)
 	EvThrottle        // power-cap governor stepped a job's nodes below P0
 	EvRestore         // throttled job stepped back toward P0 as headroom returned
 	EvThermalThrottle // a node crossed its thermal envelope and its P-state floor deepened
@@ -34,8 +34,6 @@ const (
 	EvBootFail        // an elastic provision boot failed; the node powered back off
 	EvMigrateOrder    // the migration pass ordered a job onto another machine class
 	EvMigrate         // the job checkpointed and requeued toward its migration destination
-	EvDrain           // a node was drained out of service
-	EvResume          // a drained node returned to service
 
 	// Probe kinds report controller work rather than lifecycle changes
 	// (see Probe). They must stay last.
@@ -76,8 +74,6 @@ var kindNames = [...]string{
 	EvBootFail:        "BOOTFAIL",
 	EvMigrateOrder:    "MIG_ORDER",
 	EvMigrate:         "MIGRATE",
-	EvDrain:           "DRAIN",
-	EvResume:          "RESUME",
 	EvPass:            "PASS",
 	EvDecide:          "DECIDE",
 	EvLostWork:        "LOST_WORK",
@@ -98,10 +94,8 @@ type Event struct {
 	Kind  EventKind
 	JobID int
 	// Nodes is the job's width for job kinds and 1 for node kinds, with
-	// two exceptions: DRAIN and RESUME carry 0 when the node stays
-	// outside the free pool (a job holds it, or it is off or failed),
-	// and DECIDE carries the width the policy decided for, 0 when no
-	// policy saw the request.
+	// one exception: DECIDE carries the width the policy decided for, 0
+	// when no policy saw the request.
 	Nodes int
 	Info  string
 	// Set holds the nodes the event moved: the allocated nodes for START

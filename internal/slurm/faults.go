@@ -25,7 +25,6 @@ import (
 //	                                ladder or wake-ahead timers no-op)
 //	allocated                    -> FAILED; the owning job is notified
 //	                                (OnNodeFail) or requeued on the spot
-//	drained, unheld              -> FAILED; repair hands it back drained
 //	powered off (decommissioned) -> no crash: dead hardware; the chain
 //	                                re-arms for the node's next life
 //
@@ -39,11 +38,10 @@ import (
 // the controller calls them in a fixed order (node index order at init,
 // event order afterwards), so a run's fault schedule is reproducible.
 type FaultModel interface {
-	// NextCrash draws the time-to-failure of one node life of the given
-	// machine class, relative to now. ok is false when the crash falls
-	// past the model's horizon (or the class never crashes): the node's
-	// crash chain stops there.
-	NextCrash(now sim.Time, class string) (delay sim.Time, ok bool)
+	// NextCrash draws the time-to-failure of one node life, relative to
+	// now. ok is false when the crash falls past the model's horizon (or
+	// nothing ever crashes): the node's crash chain stops there.
+	NextCrash(now sim.Time) (delay sim.Time, ok bool)
 	// RepairTime draws one crash's repair duration.
 	RepairTime() sim.Time
 	// BootFails draws the verdict for one elastic provision boot.
@@ -62,17 +60,13 @@ type faultState struct {
 
 	failed  []bool // node is crashed hardware awaiting repair
 	failedN int
-	// failedOut counts failed nodes that are unowned and not counted by
-	// drainedUnheld: the AllocatedNodes correction (a failed node owned
-	// by a job still counts as allocated until recovery releases it).
-	failedOut int
 
 	repairPending []bool // a repair timer is in flight (single per node)
 	repairParked  []bool // repair finished while a job still held the node
 
 	// Elastic boot-failure state. provBootUntil marks the bootUntil
 	// deadline of an in-flight provision boot: only that landing
-	// consults BootFails — wake-ahead and drain boots never fail.
+	// consults BootFails — wake-ahead boots never fail.
 	provBootUntil []sim.Time
 	strikes       []int
 	retryAt       []sim.Time
@@ -115,7 +109,7 @@ func (c *Controller) NodeUnhealthy(i int) bool {
 // hardware), never concurrently, so each node has at most one pending
 // crash timer.
 func (c *Controller) armCrash(i int) {
-	d, ok := c.faults.model.NextCrash(c.k.Now(), c.cluster.Nodes[i].Class())
+	d, ok := c.faults.model.NextCrash(c.k.Now())
 	if !ok {
 		return
 	}
@@ -144,23 +138,12 @@ func (c *Controller) crashNode(i int) {
 	// (bootDone's deadline guard misses on the zeroed bootUntil).
 	c.sleepGen[i]++
 	c.bootUntil[i] = 0
-	wasPooled := c.pool.contains(i)
-	if wasPooled {
-		c.pool.remove(i)
-	}
+	c.pool.remove(i) // a no-op unless the node was free
 	f.failed[i] = true
 	f.failedN++
-	if wasPooled {
-		f.failedOut++
-	} else if c.owner[i] == 0 && c.drained[i] {
-		// Crash on a drained, unheld node: it moves from the drain
-		// books to the fault books until repaired.
-		c.drainedUnheld--
-		f.failedOut++
-	}
 	c.stats.Failures++
 	c.cfg.Energy.NodeFail(i)
-	c.logNode(EvFail, n, c.ownerJobID(i))
+	c.logNode(EvFail, n, c.owner[i]) // not heldOwner: that returned above
 	if own := c.owner[i]; own > 0 {
 		if j := c.running[own]; j != nil {
 			j.invalidateSpeed()
@@ -182,15 +165,6 @@ func (c *Controller) crashNode(i int) {
 	c.k.After(f.model.RepairTime(), func() { c.repairDone(i) })
 }
 
-// ownerJobID returns the job ID owning node i for event logging (0 when
-// free or held).
-func (c *Controller) ownerJobID(i int) int {
-	if own := c.owner[i]; own > 0 {
-		return own
-	}
-	return 0
-}
-
 // repairDone fires node i's repair timer. A node still attached to a job
 // parks the repair; the release path completes it.
 func (c *Controller) repairDone(i int) {
@@ -204,10 +178,10 @@ func (c *Controller) repairDone(i int) {
 }
 
 // finishRepair returns a repaired node to service: crashed hardware
-// comes back idle (and re-pools unless drained), a boot-unhealthy node
-// is cleared for the adapt loop to provision again. Either way the
-// node's strike record resets and — for a crash repair — the crash
-// chain re-arms for the next life.
+// comes back idle and re-pools, a boot-unhealthy node is cleared for the
+// adapt loop to provision again. Either way the node's strike record
+// resets and — for a crash repair — the crash chain re-arms for the
+// next life.
 func (c *Controller) finishRepair(i int) {
 	f := c.faults
 	n := c.cluster.Nodes[i]
@@ -225,17 +199,11 @@ func (c *Controller) finishRepair(i int) {
 		return
 	}
 	f.failedN--
-	f.failedOut--
 	c.cfg.Energy.FinishRepair(i)
 	c.logNode(EvRepair, n, 0)
-	if c.drained[i] {
-		// Repaired but held out of service: back to the drain books.
-		c.drainedUnheld++
-	} else {
-		c.pool.add(i)
-		c.armSleep(n)
-		c.kick()
-	}
+	c.pool.add(i)
+	c.armSleep(n)
+	c.kick()
 	c.armAdapt()
 	c.armCrash(i)
 }
@@ -299,7 +267,6 @@ func (c *Controller) CollectFailed(j *Job) []*platform.Node {
 		}
 		dead++
 		c.owner[i] = 0
-		f.failedOut++
 		if f.repairParked[i] {
 			c.finishRepair(i)
 		}
@@ -307,6 +274,7 @@ func (c *Controller) CollectFailed(j *Job) []*platform.Node {
 	if dead == 0 {
 		return j.alloc
 	}
+	c.owned -= dead
 	j.alloc = kept[:len(kept):len(kept)]
 	j.invalidateSpeed()
 	c.repositionEndOrder(j)

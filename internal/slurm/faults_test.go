@@ -21,7 +21,7 @@ type stubFaults struct {
 	retry  sim.Time
 }
 
-func (s *stubFaults) NextCrash(_ sim.Time, _ string) (sim.Time, bool) {
+func (s *stubFaults) NextCrash(sim.Time) (sim.Time, bool) {
 	if s.i >= len(s.crash) {
 		return 0, false
 	}
@@ -184,76 +184,75 @@ func TestFaultCrashInWakeWindowLaunchesOncePerIncarnation(t *testing.T) {
 // of its own: the controller requeues on the spot instead of notifying
 // the previous incarnation's runtime, which never heard of the node.
 func TestFaultCrashInRestartWakeWindowSkipsStaleHook(t *testing.T) {
-	// Init draws: node 0 never crashes, node 1 crashes at t=80.
-	fm := &stubFaults{crash: []sim.Time{0, 80 * sim.Second}}
+	// Init draws: node 0 crashes at t=70, node 1 at t=80.
+	fm := &stubFaults{crash: []sim.Time{70 * sim.Second, 80 * sim.Second}}
 	cl, c := faultController(2, fm, func(cfg *Config) {
 		cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second, State: 1}} // S1: 30 s wake
 	})
-	hooks := map[int]int{} // failure-hook calls by registering incarnation
+	stale := map[int]int{} // failure-hook calls by a superseded incarnation
 	j := faultSleeper(c, "restarted", 1, 100*sim.Second)
 	launch := j.Launch
 	j.Launch = func(j *Job, nodes []*platform.Node) {
 		inc := j.Incarnation
-		j.OnNodeFail = func(*Job, *platform.Node) { hooks[inc]++ }
+		j.OnNodeFail = func(j *Job, _ *platform.Node) {
+			if j.Incarnation != inc {
+				stale[inc]++
+				return
+			}
+			c.RequeueFailed(j)
+		}
 		launch(j, nodes)
 	}
-	// t=30: the job wakes node 0 and launches at t≈60.
+	// t=30: the job wakes node 0 and launches at t≈60. t=70: node 0
+	// crashes, the live hook requeues the job, and the restart wakes
+	// node 1 (launch due at t≈100); the crash at t=80 lands in that
+	// wake window.
 	cl.K.At(30*sim.Second, func() { c.Submit(j) })
-	// t=70: node 0 goes out of service and the job requeues, so the
-	// restart wakes node 1 (launch due at t≈100); the crash at t=80
-	// lands in that wake window.
-	cl.K.At(70*sim.Second, func() {
-		if err := c.DrainNode(0); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-		c.RequeueFailed(j)
-	})
 	cl.K.Run()
-	if len(hooks) != 0 {
-		t.Fatalf("stale failure hooks called %v", hooks)
+	if len(stale) != 0 {
+		t.Fatalf("stale failure hooks called %v", stale)
 	}
 	if j.Requeues != 2 || j.State != StateCompleted {
 		t.Fatalf("requeues %d, state %v; want 2 requeues and completion", j.Requeues, j.State)
 	}
 }
 
-// Crash mid-boot: a drained sleeping node boots for maintenance; the
-// crash voids bootUntil, so the in-flight bootDone timer misses its
-// deadline guard and the node stays failed until repaired — then returns
-// to the drain books, and only Resume re-pools it.
-func TestFaultCrashMidBootVoidsBootAndDrainHolds(t *testing.T) {
-	fm := &stubFaults{crash: []sim.Time{25 * sim.Second}, repair: 100 * sim.Second}
-	cl, c := faultController(1, fm, func(cfg *Config) {
-		cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
+// Crash mid-boot: an elastic provision boots a powered-off node for a
+// blocked wide job; the crash voids bootUntil, so the in-flight bootDone
+// timer misses its deadline guard and the node stays failed until
+// repaired — then it re-pools and serves the wide job.
+func TestFaultCrashMidBootVoidsBoot(t *testing.T) {
+	// Init draws: node 0 never crashes, node 1 at t=40.
+	fm := &stubFaults{crash: []sim.Time{0, 40 * sim.Second}, repair: 300 * sim.Second}
+	cl, c := faultController(2, fm, func(cfg *Config) {
+		cfg.Elastic = &ElasticConfig{Min: 1, Interval: 10 * sim.Second}
 	})
-	// t=10: the idle node sleeps. t=20: drain wakes it for maintenance
-	// (a real boot window). t=25: crash lands mid-boot.
-	cl.K.At(20*sim.Second, func() {
-		if err := c.DrainNode(0); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-	cl.K.RunUntil(26 * sim.Second)
-	if got := c.Energy().State(0); got != energy.Failed {
+	// The long job holds node 0, so the wide job's demand provisions
+	// node 1 (powered off: the fleet opens at Min) and its boot runs on
+	// free hardware.
+	long := c.Submit(faultSleeper(c, "long", 1, 300*sim.Second))
+	wide := c.Submit(faultSleeper(c, "wide", 2, 5*sim.Second))
+	cl.K.RunUntil(39 * sim.Second)
+	if got := c.Energy().State(1); got != energy.Booting {
+		t.Fatalf("node 1 state %v at t=39, want Booting", got)
+	}
+	until := c.bootUntil[1]
+	cl.K.RunUntil(41 * sim.Second)
+	if got := c.Energy().State(1); got != energy.Failed {
 		t.Fatalf("node state %v mid-boot crash, want Failed", got)
 	}
 	// Past the original boot deadline the stale bootDone must not have
 	// resurrected the node.
-	cl.K.RunUntil(90 * sim.Second)
-	if got := c.Energy().State(0); got != energy.Failed {
+	cl.K.RunUntil(until + sim.Second)
+	if got := c.Energy().State(1); got != energy.Failed {
 		t.Fatalf("node state %v after stale bootDone, want still Failed", got)
 	}
-	cl.K.RunUntil(130 * sim.Second)
-	if got := c.FreeNodes(); got != 0 {
-		t.Fatalf("repaired node re-pooled despite drain: %d free", got)
-	}
-	if err := c.ResumeNode(0); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	j := c.Submit(faultSleeper(c, "after", 1, 5*sim.Second))
 	cl.K.Run()
-	if j.State != StateCompleted {
-		t.Fatalf("job state %v", j.State)
+	if long.State != StateCompleted || wide.State != StateCompleted {
+		t.Fatalf("job states %v / %v", long.State, wide.State)
+	}
+	if fs := c.Stats(); fs.Failures != 1 || fs.BootFails != 0 {
+		t.Fatalf("stats %+v", fs)
 	}
 }
 
@@ -353,6 +352,43 @@ func TestFaultRepairParksUntilRelease(t *testing.T) {
 	}
 	if c.faults.repairParked[0] || c.faults.failed[0] {
 		t.Fatal("parked repair not finished on release")
+	}
+}
+
+// Shrink-to-survive's controller half: CollectFailed splices the dead
+// node out of the running job, finishes the repair that parked while the
+// job held it, and the allocated count drops by the dead node alone.
+func TestFaultCollectFailedSplicesDeadNodes(t *testing.T) {
+	// Init draws: node 1 crashes at t=10; its repair completes at t=15,
+	// while the job still holds it.
+	fm := &stubFaults{crash: []sim.Time{0, 10 * sim.Second, 0}, repair: 5 * sim.Second}
+	cl, c := faultController(3, fm, nil)
+	j := faultSleeper(c, "survivor", 3, 30*sim.Second)
+	j.OnNodeFail = func(*Job, *platform.Node) {} // recovery runs at t=20 below
+	c.Submit(j)
+	cl.K.RunUntil(20 * sim.Second)
+	if !c.faults.repairParked[1] {
+		t.Fatal("repair did not park while the job held the node")
+	}
+	if got := c.AllocatedNodes(); got != 3 {
+		t.Fatalf("allocated %d while the job holds its dead node, want 3", got)
+	}
+	kept := c.CollectFailed(j)
+	if len(kept) != 2 || kept[0].Index != 0 || kept[1].Index != 2 {
+		t.Fatalf("survivors %v, want nodes 0 and 2", kept)
+	}
+	if got := c.AllocatedNodes(); got != 2 {
+		t.Fatalf("allocated %d after the splice, want 2", got)
+	}
+	if got := c.FreeNodes(); got != 1 || c.faults.failed[1] {
+		t.Fatalf("free %d, node 1 failed=%v: the parked repair must finish on the splice", got, c.faults.failed[1])
+	}
+	cl.K.Run()
+	if j.State != StateCompleted || c.AllocatedNodes() != 0 || c.FreeNodes() != 3 {
+		t.Fatalf("job %v, allocated %d, free %d after the run", j.State, c.AllocatedNodes(), c.FreeNodes())
+	}
+	if fs := c.Stats(); fs.Shrinks != 1 || fs.Failures != 1 {
+		t.Fatalf("stats %+v", fs)
 	}
 }
 

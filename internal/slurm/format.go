@@ -28,8 +28,8 @@ func (c *Controller) FormatQueue() string {
 // FormatNodes renders node availability in sinfo style.
 func (c *Controller) FormatNodes() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "nodes: %d total, %d allocated, %d free, %d drained\n",
-		c.TotalNodes(), c.AllocatedNodes(), c.FreeNodes(), c.DrainedNodes())
+	fmt.Fprintf(&b, "nodes: %d total, %d allocated, %d free\n",
+		c.TotalNodes(), c.AllocatedNodes(), c.FreeNodes())
 	owners := make(map[int]string)
 	for _, j := range c.running {
 		for _, n := range j.alloc {

@@ -26,17 +26,11 @@ func TestFormatQueueShowsRunningAndPending(t *testing.T) {
 func TestFormatNodesCountsAndOwners(t *testing.T) {
 	cl := testCluster(4)
 	c := NewController(cl, DefaultConfig())
-	c.Submit(sleeperJob(c, "holder", 2, 50*sim.Second))
-	if err := c.DrainNode(3); err != nil {
-		t.Fatal(err)
-	}
+	c.Submit(sleeperJob(c, "holder", 3, 50*sim.Second))
 	cl.K.RunUntil(sim.Second)
 	out := c.FormatNodes()
-	if !strings.Contains(out, "2 allocated") {
-		t.Fatalf("allocation count wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "1 drained") {
-		t.Fatalf("drain count wrong:\n%s", out)
+	if !strings.Contains(out, "nodes: 4 total, 3 allocated, 1 free\n") {
+		t.Fatalf("node counts wrong:\n%s", out)
 	}
 	if !strings.Contains(out, "node000=holder") {
 		t.Fatalf("owner map wrong:\n%s", out)

@@ -117,8 +117,8 @@ func (p *freePool) contains(i int) bool {
 	return cp.awake.has(i) || cp.booting.has(i) || cp.asleep.has(i)
 }
 
-// add returns a node to the pool, awake (releases and drain-resumes hand
-// back powered-on nodes).
+// add returns a node to the pool, awake (releases and repairs hand back
+// powered-on nodes).
 func (p *freePool) add(i int) {
 	cp := p.byNode[i]
 	if p.contains(i) {
@@ -132,8 +132,8 @@ func (p *freePool) add(i int) {
 }
 
 // addBooting returns a node to the pool mid wake/boot transition (a
-// release or drain-resume inside the node's wake window, or a provision
-// joining the fleet before its boot completes).
+// release inside the node's wake window, or a provision joining the
+// fleet before its boot completes).
 func (p *freePool) addBooting(i int) {
 	cp := p.byNode[i]
 	if p.contains(i) {
@@ -146,7 +146,8 @@ func (p *freePool) addBooting(i int) {
 	p.bump()
 }
 
-// remove takes a node out of the pool (allocation or drain).
+// remove takes a node out of the pool (allocation, crash, failed
+// provision boot or decommission).
 func (p *freePool) remove(i int) {
 	cp := p.byNode[i]
 	switch {

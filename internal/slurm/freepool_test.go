@@ -131,7 +131,7 @@ func gpuProfile() energy.Profile {
 
 // TestPickNodesMatchesReference fuzzes the indexed free pool's tiered
 // bitmap merge against the seed implementation's stable affinity sort
-// across randomized pool states (allocations, drains, sleeping nodes)
+// across randomized pool states (allocations, crashes, sleeping nodes)
 // and job shapes (pinned, preferring, indifferent, anchored expansions),
 // with and without ClassAware and an idle sleep ladder (the "+energy"
 // modes).
@@ -163,9 +163,16 @@ func TestPickNodesMatchesReference(t *testing.T) {
 				if mode.energy {
 					scfg.SleepLadder = []SleepRung{{AfterIdle: 30 * sim.Second}}
 				}
+				// A few scripted crashes punch holes in the pool; the
+				// failed nodes stay out past the probe.
+				crashes := make([]sim.Time, cfg.Nodes)
+				for i := 0; i < 3; i++ {
+					crashes[rng.Intn(cfg.Nodes)] = sim.Time(1+rng.Intn(89)) * sim.Second
+				}
+				scfg.Faults = &stubFaults{crash: crashes, repair: sim.Hour}
 				c := NewController(cl, scfg)
 
-				// Churn the pool: some holders, a few drains, and (with
+				// Churn the pool: some holders, the crashes, and (with
 				// energy) idle time so part of the pool falls asleep.
 				var holders []*Job
 				for i := 0; i < 4; i++ {
@@ -177,9 +184,6 @@ func TestPickNodesMatchesReference(t *testing.T) {
 					holders = append(holders, h)
 				}
 				cl.K.RunUntil(sim.Time(rng.Intn(90)) * sim.Second)
-				for i := 0; i < 3; i++ {
-					_ = c.DrainNode(rng.Intn(48))
-				}
 
 				jobs := []*Job{
 					nil,

@@ -10,10 +10,11 @@ import (
 )
 
 // TestSchedulerFuzzInvariants drives the controller with a randomized
-// but seeded mix of submissions, cancellations, drains, resumes and
-// resize dances, checking global invariants throughout:
+// but seeded mix of submissions, short one-node holders, cancellations
+// and resize dances, checking global invariants throughout:
 //   - allocation never exceeds capacity,
 //   - no node is owned by two jobs (or a job and the held pool) at once,
+//   - AllocatedNodes counts exactly the running and held nodes,
 //   - every submitted job terminates (completed or cancelled),
 //   - the free pool is exactly the complement at quiescence.
 func TestSchedulerFuzzInvariants(t *testing.T) {
@@ -46,6 +47,9 @@ func fuzzOnce(t *testing.T, seed int64) {
 		}
 		for _, n := range c.held {
 			claim(n, "held-pool")
+		}
+		if got, want := c.AllocatedNodes(), len(owners); got != want {
+			t.Fatalf("allocated %d, running jobs and the held pool own %d", got, want)
 		}
 		for _, n := range c.freeList() {
 			claim(n, "free-pool")
@@ -114,28 +118,16 @@ func fuzzOnce(t *testing.T, seed int64) {
 				}
 				checkOwnership()
 			})
-		case 8: // drain a random node
-			idx := rng.Intn(total)
+		case 8, 9: // a short one-node holder
+			dur := sim.Time(1+rng.Intn(total)) * sim.Second
+			name := fmt.Sprintf("h%d-%d", seed, i)
 			at := at
 			cl.K.At(at, func() {
-				_ = c.DrainNode(idx)
-				checkOwnership()
-			})
-		case 9: // resume a random node
-			idx := rng.Intn(total)
-			at := at
-			cl.K.At(at, func() {
-				_ = c.ResumeNode(idx)
+				all = append(all, c.Submit(sleeperJob(c, name, 1, dur)))
 				checkOwnership()
 			})
 		}
 	}
-	// Resume everything at the end so all jobs can finish.
-	cl.K.At(at+time100(), func() {
-		for i := 0; i < total; i++ {
-			_ = c.ResumeNode(i)
-		}
-	})
 	cl.K.Run()
 
 	for _, j := range all {
@@ -143,14 +135,12 @@ func fuzzOnce(t *testing.T, seed int64) {
 			t.Fatalf("job %s stuck in %v", j.Name, j.State)
 		}
 	}
-	if c.FreeNodes()+c.DrainedNodes() != total {
-		t.Fatalf("quiescent pool: %d free + %d drained != %d",
-			c.FreeNodes(), c.DrainedNodes(), total)
+	if c.FreeNodes() != total || c.AllocatedNodes() != 0 {
+		t.Fatalf("quiescent pool: %d free, %d allocated of %d",
+			c.FreeNodes(), c.AllocatedNodes(), total)
 	}
 	if live := cl.K.LiveProcs(); len(live) != 0 {
 		t.Fatalf("deadlocked procs: %v", live)
 	}
 	_ = flexibles
 }
-
-func time100() sim.Time { return 1000 * sim.Second }

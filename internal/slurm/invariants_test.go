@@ -13,7 +13,7 @@ import (
 )
 
 // The invariant-fuzzing harness: randomized workloads (widths, runtimes,
-// arrivals, class demands, moldable ranges, mid-run shrinks, drains)
+// arrivals, class demands, moldable ranges, mid-run shrinks, a holder)
 // executed one kernel event at a time (sim.Kernel.Step), with the whole
 // power/scheduling state machine checked between every pair of events.
 // The point is not any single scenario but the cross product: every
@@ -140,8 +140,8 @@ func (k *invChecker) check(t *testing.T) {
 		if c.pool.contains(i) && cur.state == energy.Active {
 			t.Fatalf("t=%v node %d is in the free pool while ACTIVE", now, i)
 		}
-		// The mid-boot state is explicit: a free undrained node the
-		// accountant says is booting sits in the pool's booting bitmap
+		// The mid-boot state is explicit: a free node the accountant
+		// says is booting sits in the pool's booting bitmap
 		// (never awake — the hole that once let a booting node be
 		// allocated as if it were), and pooled-as-awake means no wake
 		// transition is still in flight on its clock.
@@ -153,7 +153,7 @@ func (k *invChecker) check(t *testing.T) {
 				t.Fatalf("t=%v node %d pooled as booting past its bootUntil %v", now, i, c.bootUntil[i])
 			}
 		}
-		if cur.state == energy.Booting && c.owner[i] == 0 && !c.drained[i] && !cp.booting.has(i) {
+		if cur.state == energy.Booting && c.owner[i] == 0 && !cp.booting.has(i) {
 			t.Fatalf("t=%v node %d is free and BOOTING but not in the booting bitmap", now, i)
 		}
 		if cp.awake.has(i) && c.bootUntil[i] > now {
@@ -229,6 +229,26 @@ func (k *invChecker) check(t *testing.T) {
 			}
 		}
 	}
+	// AllocatedNodes is the owner index's nonzero count, and agrees with
+	// the complement it was once computed as: every node outside the
+	// free pool that is neither powered off nor unowned FAILED hardware.
+	owned, offline, unownedFailed := 0, 0, 0
+	for i := range c.cluster.Nodes {
+		switch {
+		case c.owner[i] != 0:
+			owned++
+		case c.isOffline(i):
+			offline++
+		case c.nodeFailed(i):
+			unownedFailed++
+		}
+	}
+	if got := c.AllocatedNodes(); got != owned {
+		t.Fatalf("t=%v AllocatedNodes %d, owner index holds %d", now, got, owned)
+	}
+	if got, want := c.AllocatedNodes(), len(c.cluster.Nodes)-c.pool.total-offline-unownedFailed; got != want {
+		t.Fatalf("t=%v AllocatedNodes %d, complement of pool, offline and unowned failed %d", now, got, want)
+	}
 	// The cluster total is exactly the sum of per-node draws.
 	if math.Abs(sum-a.TotalPowerW()) > 1e-6 {
 		t.Fatalf("t=%v TotalPowerW %.6f != Σ node draws %.6f", now, a.TotalPowerW(), sum)
@@ -289,7 +309,7 @@ func runInvariantFuzz(t *testing.T, ic invConfig, seed int64) {
 	if ic.elastic {
 		// A tight envelope with aggressive timers: constant provisioning
 		// and decommissioning churn, racing boots against allocations,
-		// completions, drains and the sleep ladder.
+		// completions, the holder and the sleep ladder.
 		cfg.Elastic = &ElasticConfig{
 			Min:        2 + rng.Intn(4),
 			Interval:   20 * sim.Second,
@@ -315,34 +335,16 @@ func runInvariantFuzz(t *testing.T, ic invConfig, seed int64) {
 	}
 	if ic.migration {
 		// A short interval keeps the decision pass racing against
-		// completions, shrinks, drains and (composed) elastic churn.
+		// completions, shrinks, the holder and (composed) elastic churn.
 		cfg.Policy = invMigPicker{}
 		cfg.Migration = &MigrationConfig{Interval: 30 * sim.Second}
 	}
 	c := NewController(cl, cfg)
 
-	classes := []string{"", energy.DefaultProfile().Class, energy.EfficiencyProfile().Class}
-	jobs := make([]*Job, 0, 30)
-	var arr sim.Time
-	for i := 0; i < 30; i++ {
-		width := 1 + rng.Intn(6)
-		d := sim.Time(20+rng.Intn(380)) * sim.Second
-		j := &Job{Name: fmt.Sprintf("fz%02d", i), ReqNodes: width, TimeLimit: 4 * d}
-		switch rng.Intn(4) {
-		case 0: // hard pin
-			j.ReqClass = classes[1+rng.Intn(2)]
-		case 1: // soft preference
-			j.PrefClass = classes[1+rng.Intn(2)]
-		}
-		if rng.Intn(3) == 0 && width > 1 { // moldable range
-			j.MinNodes = 1 + rng.Intn(width)
-			j.MaxNodes = width
-			if rng.Intn(2) == 0 {
-				j.PrefNodes = j.MinNodes + rng.Intn(width-j.MinNodes+1)
-			}
-		}
-		shrink := rng.Intn(4) == 0 && width%2 == 0 && width > 1
-		j.Launch = func(j *Job, _ []*platform.Node) {
+	// launch runs a job for d, halving its width at d/2 when shrink is
+	// set.
+	launch := func(d sim.Time, shrink bool) func(*Job, []*platform.Node) {
+		return func(j *Job, _ []*platform.Node) {
 			// A crash requeue or a live migration may take the job away
 			// mid-run; this incarnation's timers must then neither mutate
 			// nor complete the restart. Incarnation covers both (Requeues
@@ -391,23 +393,39 @@ func runInvariantFuzz(t *testing.T, ic invConfig, seed int64) {
 				c.JobComplete(j)
 			})
 		}
+	}
+	classes := []string{"", energy.DefaultProfile().Class, energy.EfficiencyProfile().Class}
+	jobs := make([]*Job, 0, 31)
+	var arr sim.Time
+	for i := 0; i < 30; i++ {
+		width := 1 + rng.Intn(6)
+		d := sim.Time(20+rng.Intn(380)) * sim.Second
+		j := &Job{Name: fmt.Sprintf("fz%02d", i), ReqNodes: width, TimeLimit: 4 * d}
+		switch rng.Intn(4) {
+		case 0: // hard pin
+			j.ReqClass = classes[1+rng.Intn(2)]
+		case 1: // soft preference
+			j.PrefClass = classes[1+rng.Intn(2)]
+		}
+		if rng.Intn(3) == 0 && width > 1 { // moldable range
+			j.MinNodes = 1 + rng.Intn(width)
+			j.MaxNodes = width
+			if rng.Intn(2) == 0 {
+				j.PrefNodes = j.MinNodes + rng.Intn(width-j.MinNodes+1)
+			}
+		}
+		shrink := rng.Intn(4) == 0 && width%2 == 0 && width > 1
+		j.Launch = launch(d, shrink)
 		jobs = append(jobs, j)
 		arr += sim.Time(rng.ExpFloat64() * float64(30*sim.Second))
 		cl.K.At(arr, func() { c.Submit(j) })
 	}
-	// A drain/resume pair in the middle of the run stresses the
-	// interaction between maintenance, sleep timers and the free pool.
-	dn := rng.Intn(nodes)
-	cl.K.At(300*sim.Second, func() {
-		if err := c.DrainNode(dn); err != nil {
-			t.Errorf("drain: %v", err)
-		}
-	})
-	cl.K.At(700*sim.Second, func() {
-		if err := c.ResumeNode(dn); err != nil {
-			t.Errorf("resume: %v", err)
-		}
-	})
+	// A one-node holder from t=300 s to t≈700 s takes a node out of the
+	// pool mid-run, racing sleep timers, crashes and the free pool.
+	hold := &Job{Name: "hold", ReqNodes: 1, TimeLimit: 1600 * sim.Second}
+	hold.Launch = launch(400*sim.Second, false)
+	jobs = append(jobs, hold)
+	cl.K.At(300*sim.Second, func() { c.Submit(hold) })
 
 	chk := newInvChecker(c, ic)
 	for cl.K.Step() {

@@ -127,18 +127,17 @@ func (c *Controller) startSize(j *Job, free int) (int, bool) {
 // schedulePass runs the main priority scheduler followed by EASY
 // backfill. Kernel context.
 //
-// The pending queue is snapshotted and priority-sorted once per pass: a
-// pass runs inside a single kernel event, so the clock — and with it
-// every job's priority — cannot change mid-pass, and submissions and
-// boosts only arrive from process context between passes. After a start
-// the queue is rescanned from the top (free counts changed), with the
-// started job dropped in place instead of the seed code's full re-sort
-// per start. Every pass ends with a PASS probe.
+// Both loops range over the pending queue itself, which insertPending
+// keeps in priority order: a pass runs inside a single kernel event, so
+// the clock — and with it every job's priority — cannot change
+// mid-pass. Inside a pass only startJob edits the queue (removePending
+// drops the started job; the start hooks only signal or spawn, and
+// event and sample subscribers only observe), and both loops stop
+// ranging right after a start to rescan from the head (free counts
+// changed). Every pass ends with a PASS probe.
 func (c *Controller) schedulePass() {
 	c.pass++ // a new pricing scope: wake remainders, rungs and floors may have moved
-	queue := append(c.passQueue[:0], c.pending...)
 	defer func() {
-		c.passQueue = queue[:0]
 		c.stats.Passes++
 		c.emit(Event{T: c.k.Now(), Kind: EvPass})
 	}()
@@ -150,7 +149,7 @@ func (c *Controller) schedulePass() {
 	var blocked *Job
 	for {
 		started := false
-		for qi, j := range queue {
+		for _, j := range c.pending {
 			if j.State != StatePending || !c.eligible(j) {
 				continue
 			}
@@ -179,7 +178,6 @@ func (c *Controller) schedulePass() {
 			}
 			c.startJob(j, n)
 			c.stats.MainStarts++
-			queue = append(queue[:qi], queue[qi+1:]...)
 			started = true
 			break // rescan from the top: free counts changed
 		}
@@ -214,7 +212,7 @@ func (c *Controller) schedulePass() {
 	}
 	for {
 		started := false
-		for qi, j := range queue {
+		for _, j := range c.pending {
 			if j == blocked || j.State != StatePending || !c.eligible(j) {
 				continue
 			}
@@ -269,7 +267,6 @@ func (c *Controller) schedulePass() {
 					}
 				}
 			}
-			queue = append(queue[:qi], queue[qi+1:]...)
 			started = true
 			break
 		}
@@ -481,19 +478,17 @@ func (c *Controller) reservation(blocked *Job) (sim.Time, int) {
 	// sorted incrementally). A job that overran its estimate is priced
 	// at an imminent end; overruns sort first, so the walk stays in
 	// ascending release time.
-	unfiltered := blocked.ReqClass == "" && c.drainedN == 0 &&
-		(c.faults == nil || c.faults.failedN == 0)
+	unfiltered := blocked.ReqClass == "" && (c.faults == nil || c.faults.failedN == 0)
 	for _, r := range c.endOrder {
-		// Drained nodes leave service when the job releases them — and so
-		// do FAILED ones (a crashed member of a running allocation goes to
-		// repair, not the pool): they never reach the free pool, so
-		// counting them would place the shadow time too early and
+		// FAILED nodes leave service when the job releases them (a
+		// crashed member of a running allocation goes to repair, not the
+		// pool): counting them would place the shadow time too early and
 		// overstate the extra nodes.
 		releases := len(r.j.alloc)
 		if !unfiltered {
 			releases = 0
 			for _, nd := range r.j.alloc {
-				if !c.isDrained(nd) && !c.nodeFailed(nd.Index) && blocked.ClassEligible(nd) {
+				if !c.nodeFailed(nd.Index) && blocked.ClassEligible(nd) {
 					releases++
 				}
 			}

@@ -60,23 +60,27 @@ func TestStartSizeBoundaries(t *testing.T) {
 	}
 }
 
-// TestFreePoolsWithDrainedAndSleeping drives the eligible-free
-// accounting through drained and sleeping nodes: a drained free node
+// TestFreePoolsWithFailedAndSleeping drives the eligible-free
+// accounting through failed and sleeping nodes: a crashed free node
 // leaves every pool, a sleeping node stays allocatable (it wakes on
 // allocation), and hard class constraints filter per job.
-func TestFreePoolsWithDrainedAndSleeping(t *testing.T) {
+func TestFreePoolsWithFailedAndSleeping(t *testing.T) {
 	cl := mixedTestCluster(2, 2)
 	cfg := DefaultConfig()
 	cfg.SleepLadder = []SleepRung{{AfterIdle: 10 * sim.Second}}
+	// Init draws in node order: fast node 0 crashes at 20 s and stays in
+	// repair for the rest of the test.
+	cfg.Faults = &stubFaults{crash: []sim.Time{20 * sim.Second}, repair: 1000 * sim.Second}
 	c := NewController(cl, cfg)
 
-	// Let the whole idle cluster fall asleep, then drain one fast node.
-	cl.K.RunUntil(20 * sim.Second)
+	// Let the whole idle cluster fall asleep; then one fast node crashes.
+	cl.K.RunUntil(19 * sim.Second)
 	if n := c.Energy().SleepingNodes(); n != 4 {
 		t.Fatalf("%d nodes asleep, want 4", n)
 	}
-	if err := c.DrainNode(0); err != nil {
-		t.Fatalf("drain: %v", err)
+	cl.K.RunUntil(21 * sim.Second)
+	if !c.nodeFailed(0) {
+		t.Fatal("node 0 did not crash")
 	}
 
 	cases := []struct {
@@ -84,8 +88,8 @@ func TestFreePoolsWithDrainedAndSleeping(t *testing.T) {
 		job      *Job
 		wantFree int
 	}{
-		{name: "unconstrained sees all undrained", job: &Job{}, wantFree: 3},
-		{name: "nil job sees all undrained", job: nil, wantFree: 3},
+		{name: "unconstrained sees all healthy", job: &Job{}, wantFree: 3},
+		{name: "nil job sees all healthy", job: nil, wantFree: 3},
 		{name: "fast-pinned sees surviving fast node", job: &Job{ReqClass: fastClass}, wantFree: 1},
 		{name: "slow-pinned sees both slow nodes", job: &Job{ReqClass: slowClass}, wantFree: 2},
 		{name: "unknown class sees nothing", job: &Job{ReqClass: "gpu"}, wantFree: 0},
@@ -102,7 +106,7 @@ func TestFreePoolsWithDrainedAndSleeping(t *testing.T) {
 	}
 
 	// Sleeping nodes are still allocatable: a 3-node unconstrained job
-	// must start on the 3 undrained (sleeping) nodes after their wake
+	// must start on the 3 healthy (sleeping) nodes after their wake
 	// latency.
 	j := c.Submit(sleeperJob(c, "wakes", 3, 10*sim.Second))
 	cl.K.Run()

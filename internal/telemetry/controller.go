@@ -24,8 +24,8 @@ import (
 //	                   "run w=N [pK]" spans re-opened on every resize or
 //	                   governor P-state move
 //	pid 3 "nodes"      tid = node index: occupancy spans "jN [pK] [tF]",
-//	                   "held jN", "SK" (sleep rung), "drained", "failed",
-//	                   "unhealthy", "off", "boot"; gaps are powered-on idle
+//	                   "held jN", "SK" (sleep rung), "failed", "unhealthy",
+//	                   "off", "boot"; gaps are powered-on idle
 const (
 	tracePidSched = 1
 	tracePidJobs  = 2
@@ -80,7 +80,6 @@ type ctlObserver struct {
 
 	// Open-span state: the label each node/job track currently carries
 	// and since when. An empty label is a gap (idle node, finished job).
-	drained   []bool
 	nodeLabel []string
 	nodeSince []sim.Time
 	jobLabel  map[int]string
@@ -158,7 +157,6 @@ func (s *Sink) Attach(ctl *slurm.Controller) {
 			{mg.Counter("migration_orders_total"), func(s slurm.Stats) int { return s.MigrationOrders }},
 			{mg.Counter("migrations_total"), func(s slurm.Stats) int { return s.Migrations }},
 		},
-		drained:   make([]bool, nodes),
 		nodeLabel: make([]string, nodes),
 		nodeSince: make([]sim.Time, nodes),
 		jobLabel:  make(map[int]string),
@@ -241,7 +239,7 @@ func (o *ctlObserver) event(ev slurm.Event) {
 		}
 		o.jobTrack(t, j, runLabel(j))
 	case slurm.EvEnd:
-		o.release(t, ev.Set)
+		o.nodeSpans(t, ev.Set, "")
 		o.jobsCompleted.Inc()
 		j := o.ctl.Job(ev.JobID)
 		if e := j.ExecTime(); e > 0 && !j.Resizer {
@@ -257,11 +255,11 @@ func (o *ctlObserver) event(ev slurm.Event) {
 		o.nodeSpans(t, ev.Set, jobNodeLabel(j))
 		o.jobTrack(t, j, runLabel(j))
 	case slurm.EvShrink:
-		o.release(t, ev.Set)
+		o.nodeSpans(t, ev.Set, "")
 		j := o.ctl.Job(ev.JobID)
 		o.jobTrack(t, j, runLabel(j))
 	case slurm.EvRequeue, slurm.EvMigrate:
-		o.release(t, ev.Set)
+		o.nodeSpans(t, ev.Set, "")
 		if ev.Kind == slurm.EvRequeue {
 			o.lostWork.Observe(ev.Value)
 		} else {
@@ -277,18 +275,14 @@ func (o *ctlObserver) event(ev slurm.Event) {
 		o.sleepCounter(rung).Inc()
 		o.nodeSpan(t, i, fmt.Sprintf("S%d", rung))
 	case slurm.EvWake:
-		if ev.JobID != 0 { // an allocation's wake, not a drain's boot
-			o.wakes.Inc()
-		}
+		o.wakes.Inc()
 	case slurm.EvThermalThrottle, slurm.EvThermalRestore:
 		o.thermal(ev)
 	case slurm.EvBoot:
 		o.fleetNodes.Set(float64(o.ctl.FleetNodes()))
 		o.nodeSpan(t, ev.Set[0].Index, "boot")
 	case slurm.EvOnline:
-		if i := ev.Set[0].Index; !o.drained[i] {
-			o.nodeSpan(t, i, "")
-		}
+		o.nodeSpan(t, ev.Set[0].Index, "")
 	case slurm.EvOffline:
 		o.fleetNodes.Set(float64(o.ctl.FleetNodes()))
 		o.nodeSpan(t, ev.Set[0].Index, "off")
@@ -305,15 +299,9 @@ func (o *ctlObserver) event(ev slurm.Event) {
 		o.nodeSpan(t, ev.Set[0].Index, "failed")
 	case slurm.EvRepair:
 		// A boot-unhealthy node stays powered off after its repair; a
-		// crashed one returns to the pool or the drain books.
+		// crashed one returns to the pool.
 		if i := ev.Set[0].Index; o.nodeLabel[i] != "unhealthy" {
-			o.nodeSpan(t, i, o.idleLabel(i))
-		}
-	case slurm.EvDrain, slurm.EvResume:
-		i := ev.Set[0].Index
-		o.drained[i] = ev.Kind == slurm.EvDrain
-		if ev.Nodes > 0 { // the node left or re-entered the free pool
-			o.nodeSpan(t, i, o.idleLabel(i))
+			o.nodeSpan(t, i, "")
 		}
 	case slurm.EvPass:
 		st := o.ctl.Stats()
@@ -349,25 +337,6 @@ func (o *ctlObserver) thermal(ev slurm.Event) {
 		label = fmt.Sprintf("%s t%d", label, o.acct.ThermalFloor(i))
 	}
 	o.nodeSpan(ev.T, i, label)
-}
-
-// idleLabel is the label of a node out of any job: drained or a gap.
-func (o *ctlObserver) idleLabel(i int) string {
-	if o.drained[i] {
-		return "drained"
-	}
-	return ""
-}
-
-// release closes the occupancy spans of nodes a job gave back. A node a
-// repair at this instant already returned to the drain books keeps its
-// label.
-func (o *ctlObserver) release(t sim.Time, set []*platform.Node) {
-	for _, n := range set {
-		if o.nodeLabel[n.Index] != "drained" {
-			o.nodeSpan(t, n.Index, "")
-		}
-	}
 }
 
 // jobTrack relabels job j's track. Resizer jobs are dance-internal and

@@ -63,7 +63,7 @@ type faultStub struct {
 	boots []bool
 }
 
-func (f *faultStub) NextCrash(sim.Time, string) (sim.Time, bool) {
+func (f *faultStub) NextCrash(sim.Time) (sim.Time, bool) {
 	if len(f.crash) == 0 {
 		return 0, false
 	}
@@ -223,23 +223,13 @@ func TestNodeLabels(t *testing.T) {
 			s.Flush()
 			return s
 		}},
-		{"drain and crash", []string{`^drained$`, `^failed$`}, func(t *testing.T) *Sink {
+		{"crash", []string{`^failed$`}, func(t *testing.T) *Sink {
 			// Init draws in node order: node 0 crashes at 6 s under the
 			// running job, node 1 never, node 2 at 5 s while free.
 			fm := &faultStub{crash: []sim.Time{6 * sim.Second, 0, 5 * sim.Second}}
 			cl := testCluster(3, false)
 			c, s := attached(cl, func(cfg *slurm.Config) { cfg.Faults = fm })
-			cl.K.At(sim.Second, func() {
-				if err := c.DrainNode(1); err != nil {
-					t.Error(err)
-				}
-			})
 			c.Submit(sleeper(c, "rigid", 1, 50*sim.Second))
-			cl.K.At(30*sim.Second, func() {
-				if err := c.ResumeNode(1); err != nil {
-					t.Error(err)
-				}
-			})
 			cl.K.Run()
 			s.Flush()
 			return s
@@ -274,36 +264,6 @@ func TestNodeLabels(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestOnlyAllocationWakesCounted: a drain boots a sleeping node for
-// maintenance (a WAKE with no job), an allocation wakes another; only
-// the allocation's wake counts as node_wake_total.
-func TestOnlyAllocationWakesCounted(t *testing.T) {
-	cl := testCluster(2, false)
-	c, s := attached(cl, func(cfg *slurm.Config) {
-		cfg.SleepLadder = []slurm.SleepRung{{AfterIdle: 10 * sim.Second}}
-	})
-	wakes := 0
-	c.SubscribeEvents(func(ev slurm.Event) {
-		if ev.Kind == slurm.EvWake {
-			wakes++
-		}
-	})
-	cl.K.At(20*sim.Second, func() {
-		if err := c.DrainNode(1); err != nil {
-			t.Error(err)
-		}
-	})
-	cl.K.At(30*sim.Second, func() { c.Submit(sleeper(c, "j", 1, 10*sim.Second)) })
-	cl.K.Run()
-	s.Flush()
-	if wakes != 2 {
-		t.Fatalf("%d WAKE events, want the drain's and the allocation's", wakes)
-	}
-	if got := s.Reg.Counter("node_wake_total").Value(); got != 1 {
-		t.Fatalf("node_wake_total %d, want 1", got)
 	}
 }
 

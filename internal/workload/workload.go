@@ -240,17 +240,6 @@ func sampleRuntime(rng *rand.Rand, p Params, nodes int) sim.Time {
 	return r
 }
 
-// NewStream mints an independent deterministic RNG stream from a seed.
-// This is the module's only sanctioned stream constructor outside the
-// generator itself (the rngstream analyzer forbids rand.New elsewhere):
-// every consumer — the workload generator, the fault injector — derives
-// its stream from the run seed XOR a consumer-specific salt, so the
-// streams are mutually independent and adding or enabling one never
-// perturbs another's draws.
-func NewStream(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
 // Generate produces the deterministic job stream for p.
 func Generate(p Params) []Spec {
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -339,17 +328,6 @@ func SetFlexible(specs []Spec, flex bool) []Spec {
 	copy(out, specs)
 	for i := range out {
 		out[i].Flexible = flex
-	}
-	return out
-}
-
-// StripClasses returns a copy of specs with machine-class demands
-// removed entirely, for workloads aimed at homogeneous fleets.
-func StripClasses(specs []Spec) []Spec {
-	out := make([]Spec, len(specs))
-	copy(out, specs)
-	for i := range out {
-		out[i].ReqClass, out[i].PrefClass = "", ""
 	}
 	return out
 }
