@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sort"
 )
 
@@ -75,8 +74,9 @@ func (h *eventHeap) pop() event {
 
 // Kernel is a discrete-event simulation engine. All access must come from
 // the goroutine that calls Run (kernel context) or from the single process
-// the kernel is currently executing; the kernel enforces this serialization
-// itself, so no further locking is required by users.
+// coroutine the kernel is currently executing; a process runs only
+// between its dispatch and its next block, so no further locking is
+// required by users.
 type Kernel struct {
 	now Time
 	seq uint64
@@ -90,7 +90,9 @@ type Kernel struct {
 	queue   eventHeap
 	imm     []event
 	immHead int
-	yielded chan struct{}
+	// spare is the free list of waiters whose last wait ended in a
+	// normal wake (see newWaiter).
+	spare []*waiter
 
 	nextPID  int64
 	live     map[int64]*Proc
@@ -111,10 +113,7 @@ type procPanic struct {
 
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		live:    make(map[int64]*Proc),
-	}
+	return &Kernel{live: make(map[int64]*Proc)}
 }
 
 // Now returns the current virtual time.
@@ -244,17 +243,24 @@ func (k *Kernel) LiveProcs() []string {
 	return names
 }
 
-// dispatch transfers control to p until it blocks or exits. It must only
-// be called from kernel context (inside an event fn).
-func (k *Kernel) dispatch(p *Proc, w wake) {
+// dispatch resumes p with its pending wake until it blocks or exits, on
+// a worker bound at its first dispatch and released when it exits. It
+// must only be called from kernel context (inside an event fn).
+func (k *Kernel) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
 	if k.Trace != nil {
 		k.Trace(k.now, p.name)
 	}
-	p.resume <- w
-	<-k.yielded
+	w := p.w
+	if w == nil {
+		w = bindWorker(p)
+	}
+	w.next()
+	if p.done {
+		releaseWorker(w)
+	}
 }
 
 var exitSentinel = new(int)
@@ -264,26 +270,9 @@ var exitSentinel = new(int)
 // block. When fn returns (or calls Proc.Exit) the process terminates.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.nextPID++
-	p := &Proc{k: k, id: k.nextPID, name: name, resume: make(chan wake)}
+	p := &Proc{k: k, id: k.nextPID, name: name, fn: fn}
+	p.dispatch = func() { k.dispatch(p) }
 	k.live[p.id] = p
-	go func() {
-		<-p.resume // wait for the first dispatch
-		defer func() {
-			r := recover()
-			if r != nil && r != exitSentinel {
-				k.fatal = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
-			}
-			p.done = true
-			delete(k.live, p.id)
-			fns := p.exitFns
-			p.exitFns = nil
-			for _, f := range fns {
-				f()
-			}
-			k.yielded <- struct{}{}
-		}()
-		fn(p)
-	}()
-	k.schedule(k.now, func() { k.dispatch(p, wake{}) })
+	k.schedule(k.now, p.dispatch)
 	return p
 }

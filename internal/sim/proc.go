@@ -1,5 +1,7 @@
 package sim
 
+import "runtime/debug"
+
 // wake carries the reason a blocked process was resumed.
 type wake struct {
 	val     any
@@ -7,17 +9,27 @@ type wake struct {
 	killed  bool
 }
 
-// Proc is a simulated process. All methods must be called from the
-// process's own goroutine (process context) unless documented otherwise.
+// Proc is a simulated process. Its body runs on a pooled worker
+// coroutine (see worker) that the kernel resumes with one switch and that
+// switches back when the body blocks. All methods must be called from the
+// process's own body (process context) unless documented otherwise.
 type Proc struct {
-	k       *Kernel
-	id      int64
-	name    string
-	resume  chan wake
-	done    bool
-	killed  bool
-	exitFns []func()
-	waiting *waiter // waiter currently parked on, for Kill
+	k    *Kernel
+	id   int64
+	name string
+	// fn is the body, dropped at exit so a *Proc kept afterwards does not
+	// keep its captured state alive; w is the worker running it, bound at
+	// the first dispatch and released at exit.
+	fn func(p *Proc)
+	w  *worker
+	// dispatch is k.dispatch(p), built once at Spawn, so scheduling a
+	// resume allocates nothing; pending is the wake it delivers.
+	dispatch func()
+	pending  wake
+	done     bool
+	killed   bool
+	exitFns  []func()
+	waiting  *waiter // waiter currently parked on, for Kill
 }
 
 // Name returns the process name given at Spawn.
@@ -29,15 +41,48 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
+// wakeAt schedules p to resume with w at time t. A process has at most one
+// pending wake, except that Kill may overwrite a scheduled one with its
+// own: the first dispatch then unwinds the process and the second finds
+// it done.
+func (p *Proc) wakeAt(t Time, w wake) {
+	p.pending = w
+	p.k.schedule(t, p.dispatch)
+}
+
 // block yields control to the kernel and waits to be resumed. If the
 // process was killed while blocked, it unwinds immediately.
 func (p *Proc) block() wake {
-	p.k.yielded <- struct{}{}
-	w := <-p.resume
+	p.w.yield(struct{}{})
+	w := p.pending
+	p.pending = wake{}
 	if w.killed || p.killed {
 		panic(exitSentinel)
 	}
 	return w
+}
+
+// run executes the body on p's worker and tears the process down when the
+// body returns or unwinds. A body's panic is recovered here, not re-raised
+// through iter.Pull, so the kernel can report it with the process name
+// and stack.
+func (p *Proc) run() {
+	k := p.k
+	defer func() {
+		r := recover()
+		if r != nil && r != exitSentinel {
+			k.fatal = &procPanic{proc: p.name, value: r, stack: debug.Stack()}
+		}
+		p.done = true
+		p.fn = nil
+		delete(k.live, p.id)
+		fns := p.exitFns
+		p.exitFns = nil
+		for _, f := range fns {
+			f()
+		}
+	}()
+	p.fn(p)
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations
@@ -46,8 +91,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
-	k.schedule(k.now+d, func() { k.dispatch(p, wake{}) })
+	p.wakeAt(p.k.now+d, wake{})
 	p.block()
 }
 
@@ -76,8 +120,7 @@ func (p *Proc) Kill() {
 		w := p.waiting
 		p.waiting = nil
 		w.cancelled = true
-		k := p.k
-		k.schedule(k.now, func() { k.dispatch(p, wake{killed: true}) })
+		p.wakeAt(p.k.now, wake{killed: true})
 	}
 }
 

@@ -7,6 +7,29 @@ type waiter struct {
 	cancelled bool
 }
 
+// newWaiter returns a waiter for p, reusing one from the kernel's free
+// list when it can. Only Wait, Pop and Acquire pool their waiters, and
+// they return one with freeWaiter only after a normal wake. A killed
+// process's waiter may still be listed on its Signal, Queue or Resource,
+// and a WaitTimeout or PopTimeout waiter is still held by its timeout
+// event; neither is ever recycled.
+func (k *Kernel) newWaiter(p *Proc) *waiter {
+	n := len(k.spare)
+	if n == 0 {
+		return &waiter{p: p}
+	}
+	w := k.spare[n-1]
+	k.spare = k.spare[:n-1]
+	w.p = p
+	return w
+}
+
+// freeWaiter returns w to the free list after its wait ended normally.
+func (k *Kernel) freeWaiter(w *waiter) {
+	*w = waiter{}
+	k.spare = append(k.spare, w)
+}
+
 // park registers w as p's current wait and yields. It returns the wake.
 func park(p *Proc, w *waiter) wake {
 	p.waiting = w
@@ -16,12 +39,12 @@ func park(p *Proc, w *waiter) wake {
 }
 
 // wakeWaiter schedules w's process to resume with wk at the current time.
-func wakeWaiter(k *Kernel, w *waiter, wk wake) {
+func wakeWaiter(w *waiter, wk wake) {
 	if w.woken || w.cancelled {
 		return
 	}
 	w.woken = true
-	k.schedule(k.now, func() { k.dispatch(w.p, wk) })
+	w.p.wakeAt(w.p.k.now, wk)
 }
 
 // Signal is a one-shot latch: Fire wakes all current and future waiters.
@@ -48,7 +71,7 @@ func (s *Signal) Fire() {
 	ws := s.waiters
 	s.waiters = nil
 	for _, w := range ws {
-		wakeWaiter(s.k, w, wake{})
+		wakeWaiter(w, wake{})
 	}
 }
 
@@ -58,9 +81,10 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	w := &waiter{p: p}
+	w := p.k.newWaiter(p)
 	s.waiters = append(s.waiters, w)
 	park(p, w)
+	p.k.freeWaiter(w)
 }
 
 // WaitTimeout blocks p until the signal fires or d elapses. It reports
@@ -78,7 +102,8 @@ func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
 		}
 		w.woken = true
 		s.removeWaiter(w)
-		k.dispatch(p, wake{timeout: true})
+		p.pending = wake{timeout: true}
+		k.dispatch(p)
 	})
 	wk := park(p, w)
 	return !wk.timeout
@@ -116,7 +141,7 @@ func (q *Queue) Push(v any) {
 		if w.woken || w.cancelled {
 			continue
 		}
-		wakeWaiter(q.k, w, wake{val: v})
+		wakeWaiter(w, wake{val: v})
 		return
 	}
 	q.items = append(q.items, v)
@@ -129,9 +154,10 @@ func (q *Queue) Pop(p *Proc) any {
 		q.items = q.items[1:]
 		return v
 	}
-	w := &waiter{p: p}
+	w := p.k.newWaiter(p)
 	q.waiters = append(q.waiters, w)
 	wk := park(p, w)
+	p.k.freeWaiter(w)
 	return wk.val
 }
 
@@ -161,7 +187,8 @@ func (q *Queue) PopTimeout(p *Proc, d Time) (v any, ok bool) {
 		}
 		w.woken = true
 		q.removeWaiter(w)
-		k.dispatch(p, wake{timeout: true})
+		p.pending = wake{timeout: true}
+		k.dispatch(p)
 	})
 	wk := park(p, w)
 	if wk.timeout {
@@ -211,9 +238,10 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	w := &waiter{p: p}
+	w := p.k.newWaiter(p)
 	r.waiters = append(r.waiters, w)
 	park(p, w)
+	p.k.freeWaiter(w)
 	// The releaser transferred its slot to us; inUse stays constant.
 }
 
@@ -226,7 +254,7 @@ func (r *Resource) Release() {
 		if w.woken || w.cancelled {
 			continue
 		}
-		wakeWaiter(r.k, w, wake{})
+		wakeWaiter(w, wake{})
 		return
 	}
 	if r.inUse > 0 {

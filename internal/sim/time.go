@@ -1,12 +1,13 @@
 // Package sim implements a deterministic process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are goroutines that cooperate with the kernel through
-// a strict handshake: exactly one process runs at a time, and control
-// returns to the kernel whenever a process blocks (Sleep, Signal.Wait,
-// Queue.Pop, Resource.Acquire) or exits. Events are ordered by
-// (virtual time, sequence number), so two runs of the same program produce
-// identical schedules.
+// Simulated processes are coroutines (iter.Pull) that the kernel resumes
+// with one switch: exactly one process runs at a time, and control returns
+// to the kernel whenever a process blocks (Sleep, Signal.Wait, Queue.Pop,
+// Resource.Acquire) or exits. A resume allocates nothing: it is scheduled
+// through a closure built once per process, with the wake parked on the
+// Proc. Events are ordered by (virtual time, sequence number), so two runs
+// of the same program produce identical schedules.
 //
 // The kernel provides virtual time only; it never consults the wall clock.
 package sim

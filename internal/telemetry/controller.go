@@ -357,10 +357,16 @@ func (o *ctlObserver) sleepCounter(rung int) *Counter {
 	return o.sleepRung[rung]
 }
 
-// nodeSpans gives every node in set the same label.
+// nodeSpans gives every node in set the same label, except that a node
+// labelled "failed" keeps that label until its REPAIR. A FAILED node is
+// never allocated, but the job it crashed under still lists it: in the
+// REQUEUE at the crash instant, or in the job's events until its runtime
+// splices the node out.
 func (o *ctlObserver) nodeSpans(t sim.Time, set []*platform.Node, label string) {
 	for _, n := range set {
-		o.nodeSpan(t, n.Index, label)
+		if o.nodeLabel[n.Index] != "failed" {
+			o.nodeSpan(t, n.Index, label)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -264,6 +265,31 @@ func TestNodeLabels(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrashRequeueKeepsFailedSpan: a crash under a job with no failure
+// hook requeues it inside the crash event, and the REQUEUE's release must
+// not relabel the dead node at that instant; its track reads "failed"
+// from the crash to the end of the 100 s repair.
+func TestCrashRequeueKeepsFailedSpan(t *testing.T) {
+	// Init draws in node order: node 0 crashes at 6 s under the job,
+	// node 1 never.
+	fm := &faultStub{crash: []sim.Time{6 * sim.Second, 0}}
+	cl := testCluster(2, false)
+	c, s := attached(cl, func(cfg *slurm.Config) { cfg.Faults = fm })
+	c.Submit(sleeper(c, "rigid", 1, 50*sim.Second))
+	cl.K.Run()
+	s.Flush()
+	var track []string
+	for _, e := range s.Trace.evs {
+		if e.ph == 'X' && e.pid == tracePidNodes && e.tid == 0 {
+			track = append(track, fmt.Sprintf("%s@%v+%v", e.name, e.ts, e.dur))
+		}
+	}
+	want := "failed@" + (6 * sim.Second).String() + "+" + (100 * sim.Second).String()
+	if len(track) == 0 || track[len(track)-1] != want {
+		t.Fatalf("node 0 track %v, want it to end with %s", track, want)
 	}
 }
 
